@@ -42,6 +42,7 @@ from .sac import (
     LossReport,
     SacModel,
     TrainConfig,
+    evaluate_embeddings,
     evaluate_policy,
     policy_forward,
     q_target,

@@ -16,7 +16,7 @@ from . import envs
 from .embedding import interpolate, sphere_adjacency, sphere_grid, sphere_grid_angles
 from .errors import ConfigurationError, DegenerateEmbedding
 from .rng import eval_generator
-from .sac import SacModel, evaluate_policy
+from .sac import SacModel, evaluate_embeddings, evaluate_policy
 
 
 @dataclass
@@ -147,32 +147,20 @@ class SphereCell:
 
 
 def evaluate_sphere(model: SacModel, task: TaskSpec, resolution: int,
-                    eval_seed: int = 0, episodes: int = 1,
-                    threads: int = 1) -> list[SphereCell]:
+                    eval_seed: int = 0, episodes: int = 1) -> list[SphereCell]:
     """Score every lattice point of the embedding sphere on one task.
 
     Emits both the achieved-behavior metric and the reward, since either
-    can serve as the coloring. Cells are ordered by grid index; each
-    point is evaluated independently on stateless seeds, so the output
-    is identical at any thread count.
+    can serve as the coloring. Cells are ordered by grid index; all
+    points are rolled out together on stateless seeds.
     """
     if model.config.lte_dim != 3:
         raise ConfigurationError("sphere evaluation is defined for 3-d embeddings only")
     grid = sphere_grid(resolution)
     angles = sphere_grid_angles(resolution)
-
-    def one(item):
-        i, z = item
-        rep = evaluate_policy(model, z, task, episodes=episodes, eval_seed=eval_seed)
-        return SphereCell(i, float(angles[i, 0]), float(angles[i, 1]), z,
-                          rep.metric, rep.mean_return)
-
-    items = list(enumerate(grid))
-    if threads <= 1:
-        return [one(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, items))
+    reports = evaluate_embeddings(model, grid, task, episodes, eval_seed)
+    return [SphereCell(i, float(angles[i, 0]), float(angles[i, 1]), grid[i],
+                       rep.metric, rep.mean_return) for i, rep in enumerate(reports)]
 
 
 def sphere_edges(resolution: int) -> list[tuple[int, int]]:
@@ -190,22 +178,28 @@ class SweepRow:
 def interpolation_sweep(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
                         betas, task: TaskSpec, eval_seed: int = 0,
                         episodes: int = 1) -> list[SweepRow]:
-    """Evaluate the blend of two embeddings across a list of coefficients.
+    """Evaluate the blend of two embeddings across a list of coefficients,
+    all blends in one batched rollout.
 
     A degenerate blend (zero vector) is recorded as a skipped row rather
     than aborting the sweep.
     """
     normalized = getattr(model.policy, "normalize_lte", True)
-    rows = []
-    for beta in betas:
+    betas = [float(b) for b in betas]
+    blends = {}
+    for k, beta in enumerate(betas):
         try:
-            z = interpolate(z_i, z_j, float(beta), normalized=normalized)
+            blends[k] = interpolate(z_i, z_j, beta, normalized=normalized)
         except DegenerateEmbedding:
-            rows.append(SweepRow(float(beta), np.nan, np.nan, skipped=True))
-            continue
-        rep = evaluate_policy(model, z, task, episodes=episodes, eval_seed=eval_seed)
-        rows.append(SweepRow(float(beta), rep.metric, rep.mean_return))
-    return rows
+            pass
+    reports = {}
+    if blends:
+        evaluated = evaluate_embeddings(model, np.stack(list(blends.values())), task,
+                                        episodes, eval_seed)
+        reports = dict(zip(blends, evaluated))
+    return [SweepRow(beta, reports[k].metric, reports[k].mean_return) if k in reports
+            else SweepRow(beta, np.nan, np.nan, skipped=True)
+            for k, beta in enumerate(betas)]
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 An elite set of m embeddings starts uniform on the sphere. Each epoch,
 every elite contributes itself plus n Gaussian-perturbed, re-projected
-neighbours to the candidate pool; all candidates are scored by the
-cumulative reward of deterministic rollouts and the top m survive. The
-perturbation scale decays geometrically. Because elites re-enter the
-pool and evaluation is deterministic, the best return never decreases.
+neighbours to the candidate pool; new candidates are scored together by
+the cumulative reward of deterministic rollouts and the top m survive.
+The perturbation scale decays geometrically. Elites re-enter the pool
+with the score they were selected with, never re-rolled, so the best
+return never decreases, exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .embedding import inject_noise, normalize_rows
 from .envs import TaskSpec
 from .errors import ConfigurationError
 from .rng import eval_generator
-from .sac import SacModel, evaluate_policy
+from .sac import SacModel, evaluate_embeddings
 
 
 @dataclass
@@ -61,13 +62,17 @@ class CemTrace:
 
 
 def cem_optimize(evaluator, config: CemConfig, dim: int = 3) -> tuple[np.ndarray, CemTrace]:
-    """Core elite search; evaluator maps a unit vector to a scalar return.
+    """Core elite search; evaluator maps an (N, dim) matrix of unit
+    vectors to their (N,) returns.
 
-    Rollout-free callers (tests, synthetic objectives) use this directly.
+    Epoch 0 scores the m initial elites and their m*n neighbours; later
+    epochs score only the m*n new neighbours. Rollout-free callers
+    (tests, synthetic objectives) use this directly.
     """
     rng = eval_generator(config.seed, 101)
     m, n = config.elite_capacity, config.samples_per_elite
     elites = normalize_rows(rng.standard_normal((m, dim)))
+    elite_returns = None
     sigma = config.sample_sigma
     trace = CemTrace()
     for _ in range(config.adapt_epochs):
@@ -76,15 +81,26 @@ def cem_optimize(evaluator, config: CemConfig, dim: int = 3) -> tuple[np.ndarray
             candidates.append(elites[i])
             for _ in range(n):
                 candidates.append(inject_noise(elites[i], sigma, rng))
-        returns = np.array([evaluator(z) for z in candidates])
+        candidates = np.array(candidates)
+        # Elites (every (n+1)-th row) keep the score they were selected with.
+        returns = np.empty(len(candidates))
+        rolled = np.arange(len(candidates)) % (n + 1) > 0
+        if elite_returns is None:
+            rolled[:] = True
+        else:
+            returns[~rolled] = elite_returns
+        if rolled.any():
+            scores = np.asarray(evaluator(candidates[rolled]), dtype=np.float64)
+            if scores.shape != (rolled.sum(),):
+                raise ConfigurationError("the evaluator must return one score per candidate")
+            returns[rolled] = scores
         # Descending return, candidate index breaks ties.
         order = np.lexsort((np.arange(len(candidates)), -returns))[:m]
-        elites = np.stack([candidates[i] for i in order])
-        elite_returns = returns[order]
+        elites, elite_returns = candidates[order], returns[order]
         trace.epochs.append(CemEpoch(
             elites=elites.copy(), elite_returns=elite_returns,
             best_return=float(elite_returns[0]), sigma=sigma,
-            episodes_used=m * (n + 1) * config.episodes_per_eval,
+            episodes_used=int(rolled.sum()) * config.episodes_per_eval,
         ))
         sigma *= config.sigma_decay
     return elites[0].copy(), trace
@@ -94,9 +110,8 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig,
               evaluator=None) -> tuple[np.ndarray, CemTrace]:
     """Adapt to an unseen task by optimizing the embedding alone.
 
-    The policy networks stay frozen; candidates are scored with the
-    deterministic policy on a fixed evaluation seed so that repeat
-    evaluations of an elite are identical.
+    The policy networks stay frozen; each epoch's candidates are scored
+    together with the deterministic policy on a fixed evaluation seed.
     """
     if model is None or model.kind != "ear":
         raise ConfigurationError("adaptation needs a trained shared-interface model")
@@ -104,10 +119,10 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig,
         raise ConfigurationError(
             f"task family {task.family!r} does not match model family {model.family!r}")
     if evaluator is None:
-        def evaluator(z):
-            rep = evaluate_policy(model, z, task, episodes=config.episodes_per_eval,
-                                  eval_seed=config.seed)
-            return rep.mean_return
+        def evaluator(Z):
+            reports = evaluate_embeddings(model, Z, task, config.episodes_per_eval,
+                                          config.seed)
+            return np.array([rep.mean_return for rep in reports])
     return cem_optimize(evaluator, config, dim=model.config.lte_dim)
 
 

@@ -15,7 +15,6 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,13 +77,6 @@ def write_manifest(out_dir: str, args, cfg_path: str | None, ckpt_path: str | No
         },
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve(args) -> ExperimentConfig:
@@ -175,10 +167,8 @@ def cmd_interp(args) -> int:
     z_i = model.lte_for_task(args.task_i)
     z_j = model.lte_for_task(args.task_j)
     task = model.tasks[args.task_i]
-    def one(beta):
-        return interpolation_sweep(model, z_i, z_j, [beta], task,
-                                   eval_seed=cfg.seed, episodes=cfg.analysis.episodes)[0]
-    rows = parallel_map(one, betas, args.threads)
+    rows = interpolation_sweep(model, z_i, z_j, betas, task,
+                               eval_seed=cfg.seed, episodes=cfg.analysis.episodes)
     csv_path = os.path.join(out, "sweep.csv")
     write_csv(csv_path, ["beta", "achieved_metric", "mean_return", "skipped"],
               [[r.beta, r.metric, r.mean_return, int(r.skipped)] for r in rows])
@@ -229,7 +219,7 @@ def cmd_sphere(args) -> int:
     res = args.resolution or cfg.analysis.sphere_resolution
     task = model.tasks[args.task_index]
     cells = evaluate_sphere(model, task, res, eval_seed=cfg.seed,
-                            episodes=cfg.analysis.episodes, threads=args.threads)
+                            episodes=cfg.analysis.episodes)
     csv_path = os.path.join(out, "sphere.csv")
     write_csv(csv_path,
               ["index", "theta", "phi", "zx", "zy", "zz", "achieved_metric", "mean_return"],
@@ -319,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--threads", type=int, default=1,
-                       help="evaluation parallelism; 1 is the certified-deterministic mode")
+                       help="recorded in manifest.json only; evaluation is batched "
+                            "over embeddings, not threaded")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
 

@@ -169,15 +169,15 @@ def observe_batch(pos: np.ndarray, vel: np.ndarray, family: str) -> np.ndarray:
     return np.stack([vel[:, 0], pos[:, 1], vel[:, 1]], axis=1)
 
 
-def env_reset(task: TaskSpec, rng) -> EnvState:
-    """Initial state: position zero; velocity uniform in +-0.05 per axis
-    for the velocity/direction families; runjump starts at rest on the
-    ground."""
+def env_reset(task: TaskSpec, rng, constants: EnvConstants = DEFAULT_CONSTANTS) -> EnvState:
+    """Initial state: position zero; velocity uniform in
+    +-constants.reset_vel_range per axis for the velocity/direction
+    families; runjump starts at rest on the ground."""
     d = state_dim(task.family)
     if task.family == RUNJUMP:
         vel = np.zeros(d)
     else:
-        r = DEFAULT_CONSTANTS.reset_vel_range
+        r = constants.reset_vel_range
         vel = rng.uniform(-r, r, size=d)
     return EnvState(position=np.zeros(d), velocity=vel, step_count=0)
 
@@ -305,14 +305,19 @@ class VecRollout:
         self.vel = np.zeros((self.k, d))
         self.t = 0
 
-    def reset(self, rng) -> np.ndarray:
+    def reset(self, rng, repeats: int = 1) -> np.ndarray:
+        """Start every row; with repeats > 1 only k // repeats start states
+        are drawn and row i gets draw i % (k // repeats)."""
+        if repeats < 1 or self.k % repeats:
+            raise ConfigurationError(f"{self.k} rows do not split into {repeats} repeats")
         d = self.pos.shape[1]
         self.pos = np.zeros((self.k, d))
         if self.family == RUNJUMP:
             self.vel = np.zeros((self.k, d))
         else:
             r = self.consts.reset_vel_range
-            self.vel = rng.uniform(-r, r, size=(self.k, d))
+            drawn = rng.uniform(-r, r, size=(self.k // repeats, d))
+            self.vel = np.tile(drawn, (repeats, 1))
         self.t = 0
         return observe_batch(self.pos, self.vel, self.family)
 

@@ -145,14 +145,6 @@ class EarPolicy:
         out = gaussian_head(head_raw)
         return np.tanh(out.mean)
 
-    def sample_actions(self, obs: np.ndarray, task_ids: np.ndarray, rng,
-                       sigma: float, noisy: bool) -> np.ndarray:
-        """Stochastic actions for data collection."""
-        noise = rng.standard_normal((obs.shape[0], self.lte_dim)) * sigma if (noisy and sigma > 0) else None
-        samp = rng.standard_normal((obs.shape[0], self.action_dim))
-        action, _, _ = self.forward_train(obs, task_ids, noise, samp)
-        return action
-
 
 @dataclass
 class OheCache:
@@ -192,11 +184,6 @@ class OhePolicy:
     def action_eval(self, obs, task_ids=None, lte_rows=None):
         head_raw, _ = mlp_forward(self.net, self._input(obs, task_ids))
         return np.tanh(gaussian_head(head_raw).mean)
-
-    def sample_actions(self, obs, task_ids, rng, sigma, noisy):
-        samp = rng.standard_normal((obs.shape[0], self.action_dim))
-        action, _, _ = self.forward_train(obs, task_ids, None, samp)
-        return action
 
 
 @dataclass
@@ -250,11 +237,6 @@ class MhmtPolicy:
         h = self._head(obs, task_ids)
         head_raw, _ = mlp_forward(self.trunk, h)
         return np.tanh(gaussian_head(head_raw).mean)
-
-    def sample_actions(self, obs, task_ids, rng, sigma, noisy):
-        samp = rng.standard_normal((obs.shape[0], self.action_dim))
-        action, _, _ = self.forward_train(obs, task_ids, None, samp)
-        return action
 
 
 def build_policy(kind: str, obs_dim: int, action_dim: int, n_tasks: int, rng,

@@ -7,7 +7,7 @@ are serializable, which is what makes seeded runs reproduce bit for bit.
 
 Evaluation rollouts use stateless generators derived from (seed, key...)
 tuples instead of the mutable streams: evaluating a model never advances
-training-side state, and parallel evaluations are reproducible by
+training-side state, and batched evaluations are reproducible by
 construction.
 """
 

@@ -353,41 +353,67 @@ def evaluate_policy(model: SacModel, lte: np.ndarray | None, task: TaskSpec,
     task_id instead. Same seed and embedding give an identical report, and
     the model is left untouched (evaluation draws no mutable stream).
     """
-    if episodes < 1:
-        raise ConfigurationError("episodes must be >= 1")
     if model.kind == "ear":
         if lte is None and task_id is None:
             raise ConfigurationError("need an embedding or task_id")
         if lte is None:
             lte = model.lte_for_task(task_id)
-        lte_rows = np.tile(np.asarray(lte, dtype=np.float64), (episodes, 1))
-        ids = None
-    else:
-        if task_id is None:
-            raise ConfigurationError("baseline evaluation needs task_id")
-        lte_rows = None
-        ids = np.full(episodes, task_id)
-    vec = VecRollout([task] * episodes, model.constants)
-    gen = eval_generator(eval_seed)
-    obs = vec.reset(gen)
+        return evaluate_embeddings(model, np.asarray(lte)[None, :], task,
+                                   episodes, eval_seed)[0]
+    if task_id is None:
+        raise ConfigurationError("baseline evaluation needs task_id")
+    return _rollout(model, task, 1, episodes, eval_seed, ids=np.full(episodes, task_id))[0]
+
+
+def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
+                        episodes: int = 1, eval_seed: int = 0) -> list[EvalReport]:
+    """evaluate_policy for every row of Z, all rolled in one VecRollout.
+
+    Every embedding meets the reset states of evaluate_policy at this seed,
+    so report n matches evaluate_policy(model, Z[n], ...) up to the last
+    bits, which depend on how BLAS blocks the batched matrix products.
+    """
+    if model.kind != "ear":
+        raise ConfigurationError("only the shared-interface policy has task embeddings")
+    Z = np.asarray(Z, dtype=np.float64)
+    if Z.ndim != 2 or len(Z) == 0 or Z.shape[1] != model.config.lte_dim:
+        raise ConfigurationError(f"embeddings must form an (N >= 1, "
+                                 f"{model.config.lte_dim}) matrix, got shape {Z.shape}")
+    return _rollout(model, task, len(Z), episodes, eval_seed,
+                    lte_rows=np.repeat(Z, episodes, axis=0))
+
+
+def _rollout(model: SacModel, task: TaskSpec, n: int, episodes: int, eval_seed: int,
+             lte_rows: np.ndarray | None = None,
+             ids: np.ndarray | None = None) -> list[EvalReport]:
+    """Roll n conditionings x episodes rows; row i*episodes + e is episode
+    e of conditioning i. Returns one report per conditioning."""
+    if episodes < 1:
+        raise ConfigurationError("episodes must be >= 1")
+    vec = VecRollout([task] * (n * episodes), model.constants)
+    obs = vec.reset(eval_generator(eval_seed), repeats=n)
     frames = model.constants.max_episode_frames
-    returns = np.zeros(episodes)
-    rec = {k: np.zeros((episodes, frames)) for k in _trace_keys(model.family)}
+    returns = np.zeros(n * episodes)
+    rec = {k: np.zeros((n * episodes, frames)) for k in _trace_keys(model.family)}
     for t in range(frames):
         action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
         obs, rewards, _ = vec.step(action)
         returns += rewards
         _record(model.family, rec, t, vec)
     warmup = frames // 4
-    extras = _metric_windows(model.family, rec, task, warmup)
-    traces = [{k: rec[k][e] for k in rec} for e in range(episodes)]
-    return EvalReport(
-        mean_return=float(np.mean(returns)),
-        metric=_primary_metric(model.family, task, extras),
-        extras=extras,
-        episode_returns=returns,
-        traces=traces,
-    )
+    reports = []
+    for i in range(n):
+        rows = slice(i * episodes, (i + 1) * episodes)
+        own = {k: v[rows] for k, v in rec.items()}
+        extras = _metric_windows(model.family, own, task, warmup)
+        reports.append(EvalReport(
+            mean_return=float(np.mean(returns[rows])),
+            metric=_primary_metric(model.family, task, extras),
+            extras=extras,
+            episode_returns=returns[rows],
+            traces=[{k: v[e] for k, v in own.items()} for e in range(episodes)],
+        ))
+    return reports
 
 
 def _trace_keys(family: str) -> tuple:

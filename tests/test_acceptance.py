@@ -204,7 +204,8 @@ def test_c08_cem_adaptation(vel5_models):
     t0 = time.perf_counter()
     cfg = CemConfig(elite_capacity=4, samples_per_elite=8, adapt_epochs=10,
                     sample_sigma=0.3, sigma_decay=0.9, seed=0)
-    _, trace = cem_optimize(lambda z: float(z @ np.array([0.0, 0.0, 1.0])), cfg)
+    _, trace = cem_optimize(
+        lambda Z: np.array([float(z @ np.array([0.0, 0.0, 1.0])) for z in Z]), cfg)
     synth_ok = trace.epochs[-1].best_return >= 0.99
 
     cem_returns, sweep_returns = [], []

@@ -111,11 +111,13 @@ def test_evaluate_sphere_grid_size_and_consistency():
     m = tiny_model()
     cells = evaluate_sphere(m, m.tasks[0], 3, eval_seed=5)
     assert len(cells) == 3 * 6
-    # consistency: direct evaluation at a grid embedding matches the cell
+    # consistency: direct evaluation at a grid embedding matches the cell,
+    # up to the rounding of the batched matmuls (measured: below 1e-13 relative
+    # in return, below 2e-15 absolute in metric)
     probe = cells[4]
     rep = evaluate_policy(m, probe.embedding, m.tasks[0], episodes=1, eval_seed=5)
-    assert rep.metric == probe.metric
-    assert rep.mean_return == probe.mean_return
+    assert rep.metric == pytest.approx(probe.metric, rel=1e-12, abs=1e-12)
+    assert rep.mean_return == pytest.approx(probe.mean_return, rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_sphere_pure_wrt_model():

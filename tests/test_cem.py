@@ -13,17 +13,22 @@ def pole_reward(z):
     return float(z @ np.array([0.0, 0.0, 1.0]))
 
 
+def pole_returns(Z):
+    """pole_reward as a batch evaluator: (N, 3) candidates -> (N,) returns."""
+    return np.array([pole_reward(z) for z in Z])
+
+
 def test_synthetic_oracle_reaches_pole():
     cfg = CemConfig(elite_capacity=4, samples_per_elite=8, adapt_epochs=10,
                     sample_sigma=0.3, sigma_decay=0.9, seed=0)
-    best, trace = cem_optimize(pole_reward, cfg)
+    best, trace = cem_optimize(pole_returns, cfg)
     assert trace.epochs[-1].best_return >= 0.99
     assert pole_reward(best) >= 0.99
 
 
 def test_zero_samples_degenerates_to_initial_max():
     cfg = CemConfig(elite_capacity=6, samples_per_elite=0, adapt_epochs=1, seed=3)
-    best, trace = cem_optimize(pole_reward, cfg)
+    best, trace = cem_optimize(pole_returns, cfg)
     # reproduce the initial elite draw and check best is their max
     from latent_motor.embedding import normalize_rows
     from latent_motor.rng import eval_generator
@@ -34,16 +39,16 @@ def test_zero_samples_degenerates_to_initial_max():
 
 def test_elitism_best_return_non_decreasing():
     cfg = CemConfig(elite_capacity=3, samples_per_elite=5, adapt_epochs=12, seed=7)
-    _, trace = cem_optimize(pole_reward, cfg)
+    _, trace = cem_optimize(pole_returns, cfg)
     best = trace.best_returns()
     assert np.all(np.diff(best) >= 0.0)
 
 
 def test_candidates_unit_norm():
     seen = []
-    def recording(z):
-        seen.append(np.linalg.norm(z))
-        return pole_reward(z)
+    def recording(Z):
+        seen.extend(np.linalg.norm(Z, axis=1))
+        return pole_returns(Z)
     cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=3, seed=1)
     cem_optimize(recording, cfg)
     assert np.allclose(seen, 1.0, atol=1e-9)
@@ -53,7 +58,7 @@ def test_sigma_floor_keeps_elites_fixed():
     # tiny sigma: neighbours are essentially the elites, set cannot degrade
     cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=6,
                     sample_sigma=1e-12, sigma_decay=0.5, seed=5)
-    _, trace = cem_optimize(pole_reward, cfg)
+    _, trace = cem_optimize(pole_returns, cfg)
     first = trace.epochs[0].elite_returns
     last = trace.epochs[-1].elite_returns
     assert np.allclose(first, last, atol=1e-9)
@@ -62,9 +67,39 @@ def test_sigma_floor_keeps_elites_fixed():
 def test_budget_accounting():
     cfg = CemConfig(elite_capacity=5, samples_per_elite=8, adapt_epochs=2,
                     episodes_per_eval=3, seed=0)
-    _, trace = cem_optimize(pole_reward, cfg)
-    for e in trace.epochs:
-        assert e.episodes_used == 5 * 9 * 3
+    _, trace = cem_optimize(pole_returns, cfg)
+    # epoch 0 scores the 5 elites and their 5*8 neighbours; later epochs
+    # carry the elites' scores and roll only the 5*8 new neighbours
+    assert [e.episodes_used for e in trace.epochs] == [5 * 9 * 3, 5 * 8 * 3]
+
+
+def test_elite_scores_carried_not_reevaluated():
+    # An evaluator that never scores a vector the same way twice: carried
+    # scores are only equal to the previous epoch's if elites are not rolled again.
+    calls = []
+    def drifting(Z):
+        calls.append(len(Z))
+        return pole_returns(Z) + 1e-6 * len(calls)
+    cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=5,
+                    episodes_per_eval=2, seed=4)
+    _, trace = cem_optimize(drifting, cfg)
+    assert calls == [3 * 5] + [3 * 4] * 4
+    assert [e.episodes_used for e in trace.epochs] == [3 * 5 * 2] + [3 * 4 * 2] * 4
+    carried = 0
+    for prev, cur in zip(trace.epochs, trace.epochs[1:]):
+        for z, r in zip(prev.elites, prev.elite_returns):
+            same = np.all(cur.elites == z, axis=1)
+            if same.any():
+                carried += 1
+                assert cur.elite_returns[same][0] == r
+        assert cur.best_return >= prev.best_return
+    assert carried > 0
+
+
+def test_evaluator_shape_checked():
+    cfg = CemConfig(elite_capacity=2, samples_per_elite=1, adapt_epochs=1)
+    with pytest.raises(ConfigurationError):
+        cem_optimize(lambda Z: pole_returns(Z)[:1], cfg)
 
 
 def test_adapt_rejects_family_mismatch_and_baselines():
@@ -91,7 +126,7 @@ def test_adapt_runs_on_tiny_model():
 
 def test_adaptation_curve_single_trace():
     cfg = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=4, seed=2)
-    _, trace = cem_optimize(pole_reward, cfg)
+    _, trace = cem_optimize(pole_returns, cfg)
     rows = adaptation_curve([trace])
     assert [r["mean_best_return"] for r in rows] == trace.best_returns().tolist()
     assert all(r["std_best_return"] == 0.0 for r in rows)
@@ -99,8 +134,8 @@ def test_adaptation_curve_single_trace():
 
 def test_adaptation_curve_identical_traces_zero_std():
     cfg = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=3, seed=2)
-    _, t1 = cem_optimize(pole_reward, cfg)
-    _, t2 = cem_optimize(pole_reward, cfg)
+    _, t1 = cem_optimize(pole_returns, cfg)
+    _, t2 = cem_optimize(pole_returns, cfg)
     rows = adaptation_curve([t1, t2])
     assert all(r["std_best_return"] == 0.0 for r in rows)
 
@@ -108,8 +143,8 @@ def test_adaptation_curve_identical_traces_zero_std():
 def test_adaptation_curve_ragged_rejected():
     c1 = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=3, seed=2)
     c2 = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=4, seed=2)
-    _, t1 = cem_optimize(pole_reward, c1)
-    _, t2 = cem_optimize(pole_reward, c2)
+    _, t1 = cem_optimize(pole_returns, c1)
+    _, t2 = cem_optimize(pole_returns, c2)
     with pytest.raises(ConfigurationError):
         adaptation_curve([t1, t2])
 

@@ -11,6 +11,7 @@ from latent_motor.envs import (
     DIR2D,
     RUNJUMP,
     VEL1D,
+    EnvConstants,
     EnvState,
     TaskSpec,
     VecRollout,
@@ -40,6 +41,27 @@ def test_reset_runjump_at_rest_on_ground():
     s = env_reset(TaskSpec(RUNJUMP, (1.0,)), np.random.default_rng(0))
     assert s.position[1] == 0.0 and s.velocity[1] == 0.0
     assert np.all(s.velocity == 0.0)
+
+
+def test_reset_honours_configured_velocity_range():
+    consts = EnvConstants(reset_vel_range=3.0)
+    task = TaskSpec(DIR2D, (1.0, 0.0))
+    vels = np.array([env_reset(task, np.random.default_rng(s), consts).velocity
+                     for s in range(50)])
+    assert np.all(np.abs(vels) <= 3.0) and np.max(np.abs(vels)) > 0.05
+    batch = VecRollout([task], consts)
+    batch.reset(np.random.default_rng(0))
+    assert np.array_equal(vels[0], batch.vel[0])
+
+
+def test_vec_reset_repeats_tile_the_draw():
+    tasks = [vel_task()] * 6
+    small, tiled = VecRollout(tasks[:2]), VecRollout(tasks)
+    small.reset(np.random.default_rng(4))
+    tiled.reset(np.random.default_rng(4), repeats=3)
+    assert np.array_equal(tiled.vel, np.tile(small.vel, (3, 1)))
+    with pytest.raises(ConfigurationError):
+        tiled.reset(np.random.default_rng(4), repeats=4)
 
 
 def test_reset_deterministic():

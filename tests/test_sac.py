@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latent_motor.envs import make_task_set
+from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.nn import mlp_forward
 from latent_motor.replay import Batch, ReplayBuffer, Transition
+from latent_motor.rng import eval_generator
 from latent_motor.sac import (
+    EvalReport,
     SacModel,
     TrainConfig,
+    evaluate_embeddings,
     evaluate_policy,
     policy_forward,
     q_target,
     sac_update,
     train_baseline,
     train_multitask,
+    _metric_windows,
+    _primary_metric,
+    _record,
+    _trace_keys,
 )
 
 
@@ -329,6 +336,91 @@ def test_evaluate_does_not_mutate_model_streams():
     before = m.rngs.state()
     evaluate_policy(m, m.lte_for_task(0), m.tasks[0], episodes=2, eval_seed=1)
     assert m.rngs.state() == before
+
+
+def probe_embeddings(n, seed=0):
+    z = np.random.default_rng(seed).standard_normal((n, 3))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def assert_reports_match(a, b, rel):
+    def close(x, y):
+        return np.allclose(x, y, rtol=rel, atol=rel) if rel else np.array_equal(x, y)
+    assert close(a.mean_return, b.mean_return)
+    assert close(a.metric, b.metric)
+    assert a.extras.keys() == b.extras.keys()
+    assert all(close(a.extras[k], b.extras[k]) for k in a.extras)
+    assert close(a.episode_returns, b.episode_returns)
+    assert len(a.traces) == len(b.traces)
+    for ta, tb in zip(a.traces, b.traces):
+        assert ta.keys() == tb.keys()
+        assert all(close(ta[k], tb[k]) for k in ta)
+
+
+def reference_evaluation(model, task, episodes, eval_seed, lte_rows=None, ids=None):
+    """The one-conditioning rollout loop as it stood before evaluation was
+    batched over embeddings; evaluate_policy must reproduce it bit for bit."""
+    vec = VecRollout([task] * episodes, model.constants)
+    obs = vec.reset(eval_generator(eval_seed))
+    frames = model.constants.max_episode_frames
+    returns = np.zeros(episodes)
+    rec = {k: np.zeros((episodes, frames)) for k in _trace_keys(model.family)}
+    for t in range(frames):
+        action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
+        obs, rewards, _ = vec.step(action)
+        returns += rewards
+        _record(model.family, rec, t, vec)
+    extras = _metric_windows(model.family, rec, task, frames // 4)
+    return EvalReport(float(np.mean(returns)), _primary_metric(model.family, task, extras),
+                      extras, returns, [{k: rec[k][e] for k in rec} for e in range(episodes)])
+
+
+@pytest.mark.parametrize("family", ["vel1d", "dir2d", "runjump"])
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_one_row_evaluation_bit_identical_to_reference(family, episodes):
+    m = tiny_model(family=family)
+    z = probe_embeddings(1)
+    ref = reference_evaluation(m, m.tasks[1], episodes, 3, lte_rows=np.tile(z, (episodes, 1)))
+    [rep] = evaluate_embeddings(m, z, m.tasks[1], episodes, eval_seed=3)
+    assert_reports_match(rep, ref, rel=0.0)
+    assert_reports_match(evaluate_policy(m, z[0], m.tasks[1], episodes, eval_seed=3), ref,
+                         rel=0.0)
+    for kind in ("ohe", "mhmt"):
+        b = tiny_model(kind=kind, family=family)
+        ref = reference_evaluation(b, b.tasks[1], episodes, 3, ids=np.full(episodes, 1))
+        assert_reports_match(evaluate_policy(b, None, b.tasks[1], episodes, eval_seed=3,
+                                             task_id=1), ref, rel=0.0)
+
+
+@pytest.mark.parametrize("family", ["vel1d", "dir2d", "runjump"])
+@pytest.mark.parametrize("episodes", [1, 3])
+def test_evaluate_embeddings_matches_per_row_evaluation(family, episodes):
+    m = tiny_model(family=family)
+    Z = np.concatenate([m.lte_set(), probe_embeddings(9, seed=1)])
+    task = m.tasks[-1]
+    reports = evaluate_embeddings(m, Z, task, episodes, eval_seed=7)
+    assert len(reports) == len(Z)
+    for z, rep in zip(Z, reports):
+        assert_reports_match(rep, evaluate_policy(m, z, task, episodes, eval_seed=7),
+                             rel=1e-12)
+
+
+def test_evaluate_embeddings_leaves_model_untouched():
+    m = tiny_model()
+    params = [p.copy() for p in m.policy.param_arrays()]
+    state = m.rngs.state()
+    evaluate_embeddings(m, probe_embeddings(5), m.tasks[0], 2, eval_seed=1)
+    assert all(np.array_equal(a, b) for a, b in zip(params, m.policy.param_arrays()))
+    assert m.rngs.state() == state
+
+
+def test_evaluate_embeddings_rejects_bad_input():
+    m = tiny_model()
+    for Z in (np.zeros((0, 3)), np.ones(3), np.ones((2, 4))):
+        with pytest.raises(ConfigurationError):
+            evaluate_embeddings(m, Z, m.tasks[0])
+    with pytest.raises(ConfigurationError):
+        evaluate_embeddings(tiny_model(kind="ohe"), probe_embeddings(2), m.tasks[0])
 
 
 def test_full_run_determinism_bitwise():
