@@ -8,10 +8,8 @@ __version__ = "0.1.0"
 from .cem import CemConfig, CemTrace, adaptation_curve, cem_adapt, cem_optimize
 from .embedding import (
     TaskEncoder,
-    encode_task,
     inject_noise,
     interpolate,
-    lte_set,
     normalize,
     sphere_grid,
 )
@@ -21,11 +19,7 @@ from .envs import (
     RUNJUMP,
     VEL1D,
     EnvConstants,
-    EnvState,
-    StepResult,
     TaskSpec,
-    env_reset,
-    env_step,
     make_task_set,
 )
 from .errors import (
@@ -44,7 +38,6 @@ from .sac import (
     TrainConfig,
     evaluate_embeddings,
     evaluate_policy,
-    policy_forward,
     q_target,
     sac_update,
     train_baseline,

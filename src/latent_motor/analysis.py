@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import envs
-from .embedding import interpolate, sphere_adjacency, sphere_grid, sphere_grid_angles
+from .embedding import interpolate, sphere_grid, sphere_grid_angles
 from .errors import ConfigurationError, DegenerateEmbedding
 from .rng import eval_generator
 from .sac import SacModel, evaluate_embeddings, evaluate_policy
@@ -161,10 +161,6 @@ def evaluate_sphere(model: SacModel, task: TaskSpec, resolution: int,
     reports = evaluate_embeddings(model, grid, task, episodes, eval_seed)
     return [SphereCell(i, float(angles[i, 0]), float(angles[i, 1]), grid[i],
                        rep.metric, rep.mean_return) for i, rep in enumerate(reports)]
-
-
-def sphere_edges(resolution: int) -> list[tuple[int, int]]:
-    return sphere_adjacency(resolution)
 
 
 @dataclass

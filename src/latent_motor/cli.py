@@ -25,11 +25,11 @@ from .analysis import (
     interpolation_sweep,
     lse_trajectory_analysis,
     search_beta,
-    sphere_edges,
 )
 from .cem import adaptation_curve, cem_adapt
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, load_config
+from .embedding import sphere_adjacency
 from .envs import DIR2D, RUNJUMP, VEL1D, TaskSpec
 from .errors import LatentMotorError
 from .nn import finite_difference_check, mlp_init
@@ -166,7 +166,7 @@ def cmd_interp(args) -> int:
         else list(cfg.analysis.betas)
     z_i = model.lte_for_task(args.task_i)
     z_j = model.lte_for_task(args.task_j)
-    task = model.tasks[args.task_i]
+    task = model.task(args.task_i)
     rows = interpolation_sweep(model, z_i, z_j, betas, task,
                                eval_seed=cfg.seed, episodes=cfg.analysis.episodes)
     csv_path = os.path.join(out, "sweep.csv")
@@ -183,7 +183,7 @@ def cmd_search_beta(args) -> int:
     model = load_checkpoint(args.checkpoint)
     res = search_beta(model, model.lte_for_task(args.task_i),
                       model.lte_for_task(args.task_j), args.target, args.tol,
-                      model.tasks[args.task_i], eval_seed=cfg.seed,
+                      model.task(args.task_i), eval_seed=cfg.seed,
                       episodes=cfg.analysis.episodes)
     write_json(os.path.join(out, "search_beta.json"), {
         "found": res.found, "beta": res.beta, "achieved": res.achieved,
@@ -200,7 +200,7 @@ def cmd_compose(args) -> int:
     z_a = model.lte_for_task(args.task_a)
     z_b = model.lte_for_task(args.task_b)
     betas = np.linspace(0.1, 0.9, args.beta_count)
-    task = model.tasks[args.task_a]
+    task = model.task(args.task_a)
     rows = [compose(model, z_a, z_b, float(b), task, eval_seed=cfg.seed,
                     episodes=cfg.analysis.episodes) for b in betas]
     csv_path = os.path.join(out, "compose.csv")
@@ -217,7 +217,7 @@ def cmd_sphere(args) -> int:
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
     res = args.resolution or cfg.analysis.sphere_resolution
-    task = model.tasks[args.task_index]
+    task = model.task(args.task_index)
     cells = evaluate_sphere(model, task, res, eval_seed=cfg.seed,
                             episodes=cfg.analysis.episodes)
     csv_path = os.path.join(out, "sphere.csv")
@@ -225,7 +225,7 @@ def cmd_sphere(args) -> int:
               ["index", "theta", "phi", "zx", "zy", "zz", "achieved_metric", "mean_return"],
               [[c.index, c.theta, c.phi, c.embedding[0], c.embedding[1], c.embedding[2],
                 c.metric, c.mean_return] for c in cells])
-    edges = sphere_edges(res)
+    edges = sphere_adjacency(res)
     write_csv(os.path.join(out, "sphere_edges.csv"), ["a", "b"], [list(e) for e in edges])
     write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
     write_manifest(out, args, args.config, args.checkpoint)
@@ -236,7 +236,7 @@ def cmd_lse_viz(args) -> int:
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
-    task = model.tasks[args.task_index]
+    task = model.task(args.task_index)
     res = lse_trajectory_analysis(model, task, args.task_index, eval_seed=cfg.seed)
     csv_path = os.path.join(out, "lse_pca.csv")
     raw = res.raw_projections
@@ -278,16 +278,12 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
-    task = model.tasks[args.task_index]
+    task = model.task(args.task_index)
     lte = None
     if args.lte:
         lte = np.array([float(v) for v in args.lte.split(",")])
-    if model.kind == "ear":
-        rep = evaluate_policy(model, lte, task, args.episodes, eval_seed=cfg.seed,
-                              task_id=args.task_index)
-    else:
-        rep = evaluate_policy(model, None, task, args.episodes, eval_seed=cfg.seed,
-                              task_id=args.task_index)
+    rep = evaluate_policy(model, lte, task, args.episodes, eval_seed=cfg.seed,
+                          task_id=args.task_index)
     write_json(os.path.join(out, "eval.json"), {
         "mean_return": rep.mean_return,
         "achieved_metric": rep.metric,

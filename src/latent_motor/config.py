@@ -74,11 +74,41 @@ class ExperimentConfig:
         )
 
 
+def _expected(default) -> tuple[tuple, str]:
+    """The JSON value types a field with this default accepts, and their name."""
+    if default is None:  # EnvSection.count: int | None
+        return (int, type(None)), "an integer or null"
+    if isinstance(default, bool):
+        return (bool,), "true or false"
+    if isinstance(default, int):
+        return (int,), "an integer"
+    if isinstance(default, float):
+        return (int, float), "a number"
+    return (type(default),), f"a {type(default).__name__}"
+
+
+def _check_field(f: dataclasses.Field, value, where: str) -> None:
+    """Type-check one field against its default. Counts (the integer
+    fields other than seed) must be >= 0, and batch_size >= 2."""
+    default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+    types, name = _expected(default)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ConfigurationError(f"{where}.{f.name} must be {name}, got {value!r}")
+    count = (default is None or type(default) is int) and f.name != "seed"
+    minimum = 2 if f.name == "batch_size" else 0
+    if count and value is not None and value < minimum:
+        raise ConfigurationError(f"{where}.{f.name} must be >= {minimum}, got {value}")
+
+
 def _build(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"config section {where} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in data.items():
+        _check_field(fields[key], value, where)
     return cls(**data)
 
 

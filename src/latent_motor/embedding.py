@@ -54,24 +54,8 @@ class TaskEncoder:
     weight: np.ndarray  # (embed_dim, n_tasks)
     bias: np.ndarray    # (embed_dim,)
 
-    @property
-    def n_tasks(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weight.shape[0]
-
     def param_arrays(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
-
-    def copy(self) -> "TaskEncoder":
-        return TaskEncoder(self.weight.copy(), self.bias.copy())
-
-    def raw(self, task_index: int) -> np.ndarray:
-        if not 0 <= task_index < self.n_tasks:
-            raise ConfigurationError(f"task index {task_index} out of range [0, {self.n_tasks})")
-        return self.weight[:, task_index] + self.bias
 
     def raw_batch(self, task_ids: np.ndarray) -> np.ndarray:
         return self.weight.T[task_ids] + self.bias
@@ -80,18 +64,6 @@ class TaskEncoder:
 def task_encoder_init(n_tasks: int, embed_dim: int, rng) -> TaskEncoder:
     bound = 1.0 / np.sqrt(n_tasks)
     return TaskEncoder(rng.uniform(-bound, bound, size=(embed_dim, n_tasks)), np.zeros(embed_dim))
-
-
-def encode_task(encoder: TaskEncoder, task_index: int, normalized: bool = True) -> np.ndarray:
-    """Embedding of one training task, projected to the sphere by default."""
-    raw = encoder.raw(task_index)
-    return normalize(raw) if normalized else raw.copy()
-
-
-def lte_set(encoder: TaskEncoder, normalized: bool = True) -> np.ndarray:
-    """All training-task embeddings as rows, index-aligned with the task list."""
-    raw = encoder.weight.T + encoder.bias
-    return normalize_rows(raw) if normalized else raw.copy()
 
 
 def inject_noise(z: np.ndarray, sigma: float, rng, normalized: bool = True) -> np.ndarray:
@@ -106,15 +78,11 @@ def inject_noise(z: np.ndarray, sigma: float, rng, normalized: bool = True) -> n
     if sigma == 0.0:
         return z.copy()
     while True:
-        noisy = z + sigma * _draw_normal(rng, z.shape)
+        noisy = z + sigma * rng.standard_normal(z.shape)
         if not normalized:
             return noisy
         if np.linalg.norm(noisy) > DEGENERATE_NORM:
             return normalize(noisy)
-
-
-def _draw_normal(rng, shape):
-    return rng.standard_normal(shape)
 
 
 def interpolate(z_i: np.ndarray, z_j: np.ndarray, beta: float, normalized: bool = True) -> np.ndarray:

@@ -113,34 +113,6 @@ class TaskSpec:
         )
 
 
-@dataclass
-class EnvState:
-    position: np.ndarray
-    velocity: np.ndarray
-    step_count: int = 0
-
-
-@dataclass
-class StepResult:
-    next_state: EnvState
-    reward: float
-    done: bool
-    truncated: bool
-
-
-class ClipCounter:
-    """Counts actions that arrived outside [-1, 1] and had to be clipped."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-CLIP_WARNINGS = ClipCounter()
-
-
 def obs_dim(family: str) -> int:
     return {VEL1D: 1, DIR2D: 2, RUNJUMP: 3}[family]
 
@@ -153,33 +125,10 @@ def state_dim(family: str) -> int:
     return {VEL1D: 1, DIR2D: 2, RUNJUMP: 2}[family]
 
 
-def observe(state: EnvState, family: str) -> np.ndarray:
-    """Observation vector; absolute horizontal position is never exposed."""
-    if family == VEL1D:
-        return state.velocity.copy()
-    if family == DIR2D:
-        return state.velocity.copy()
-    # runjump: horizontal velocity, height, vertical velocity
-    return np.array([state.velocity[0], state.position[1], state.velocity[1]])
-
-
 def observe_batch(pos: np.ndarray, vel: np.ndarray, family: str) -> np.ndarray:
     if family in (VEL1D, DIR2D):
         return vel.copy()
     return np.stack([vel[:, 0], pos[:, 1], vel[:, 1]], axis=1)
-
-
-def env_reset(task: TaskSpec, rng, constants: EnvConstants = DEFAULT_CONSTANTS) -> EnvState:
-    """Initial state: position zero; velocity uniform in
-    +-constants.reset_vel_range per axis for the velocity/direction
-    families; runjump starts at rest on the ground."""
-    d = state_dim(task.family)
-    if task.family == RUNJUMP:
-        vel = np.zeros(d)
-    else:
-        r = constants.reset_vel_range
-        vel = rng.uniform(-r, r, size=d)
-    return EnvState(position=np.zeros(d), velocity=vel, step_count=0)
 
 
 def _physics_batch(family, pos, vel, action, consts: EnvConstants):
@@ -211,28 +160,6 @@ def _reward_batch(family, new_pos, new_vel, action, targets, weights, jump_mask,
     run_term = -np.abs(new_vel[:, 0] - targets[:, 0])
     jump_term = weights * new_pos[:, 1]
     return np.where(jump_mask, jump_term, run_term) - cost
-
-
-def env_step(state: EnvState, action: np.ndarray, task: TaskSpec,
-             constants: EnvConstants = DEFAULT_CONSTANTS) -> StepResult:
-    """Advance one frame; identical arguments give an identical result."""
-    a = np.asarray(action, dtype=np.float64)
-    if a.shape != (action_dim(task.family),):
-        raise ConfigurationError(
-            f"action shape {a.shape} does not match family {task.family}")
-    if np.any(a < -1.0) or np.any(a > 1.0):
-        CLIP_WARNINGS.count += 1
-        a = np.clip(a, -1.0, 1.0)
-    pos, vel = _physics_batch(task.family, state.position[None], state.velocity[None],
-                              a[None], constants)
-    reward = _reward_batch(
-        task.family, pos, vel, a[None], task.target_array[None],
-        np.array([task.modality_weight]), np.array([task.jump_modality]),
-        task.reward_ctrl_cost,
-    )[0]
-    nxt = EnvState(pos[0], vel[0], state.step_count + 1)
-    truncated = nxt.step_count >= constants.max_episode_frames
-    return StepResult(nxt, float(reward), truncated, truncated)
 
 
 def make_task_set(family: str, count: int | None = None, low: float = 0.5,
@@ -277,11 +204,6 @@ def make_task_set(family: str, count: int | None = None, low: float = 0.5,
     raise ConfigurationError(f"unknown family {family!r}")
 
 
-def direction_degrees(task: TaskSpec) -> float:
-    u = task.target_array
-    return float(np.degrees(np.arctan2(u[1], u[0])) % 360.0)
-
-
 class VecRollout:
     """K copies of one family stepped in lockstep (no early termination,
     so every row runs exactly max_episode_frames)."""
@@ -322,7 +244,13 @@ class VecRollout:
         return observe_batch(self.pos, self.vel, self.family)
 
     def step(self, actions: np.ndarray):
-        a = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+        """Advance every row one frame; actions outside [-1, 1] are clipped.
+        Returns (observations, rewards, truncated)."""
+        a = np.asarray(actions, dtype=np.float64)
+        if a.shape != (self.k, action_dim(self.family)):
+            raise ConfigurationError(
+                f"action shape {a.shape} does not match {self.k} {self.family} rows")
+        a = np.clip(a, -1.0, 1.0)
         new_pos, new_vel = _physics_batch(self.family, self.pos, self.vel, a, self.consts)
         rewards = _reward_batch(self.family, new_pos, new_vel, a, self.targets,
                                 self.weights, self.jump_mask, self.ctrl)

@@ -204,7 +204,7 @@ def gaussian_head(raw: np.ndarray) -> GaussianPolicyOutput:
 
 @dataclass
 class SampleCache:
-    """Intermediates of policy_sample needed for its backward pass."""
+    """Intermediates of sample_squashed needed for its backward pass."""
 
     action: np.ndarray
     pre_tanh: np.ndarray
@@ -216,29 +216,18 @@ class SampleCache:
 def sample_squashed(
     out: GaussianPolicyOutput, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, SampleCache]:
-    """Squash a reparameterized draw with explicit noise (see policy_sample)."""
+    """Squashed-Gaussian action and its log density for explicit noise.
+
+    action = tanh(mean + std * noise); zero noise gives the deterministic
+    (mean) action. log_prob uses the softplus form of the change-of-variables
+    correction, so it stays finite for any clamped log_std and bounded mean.
+    Returns (action, log_prob, cache); log_prob sums over action dims.
+    """
     std = np.exp(out.log_std)
     u = out.mean + std * noise
     action = np.clip(np.tanh(u), -_ACTION_MAX, _ACTION_MAX)
     log_prob = _squashed_log_prob(out.log_std, noise, u)
     return action, log_prob, SampleCache(action, u, noise, std, out.clamp_mask)
-
-
-def policy_sample(
-    out: GaussianPolicyOutput, rng=None
-) -> tuple[np.ndarray, np.ndarray, SampleCache]:
-    """Sample a squashed-Gaussian action and its log density.
-
-    action = tanh(mean + std * noise); rng=None means deterministic mode
-    (noise zero). log_prob uses the softplus form of the change-of-variables
-    correction, so it stays finite for any clamped log_std and bounded mean.
-    Returns (action, log_prob, cache); log_prob sums over action dims.
-    """
-    if rng is None:
-        noise = np.zeros_like(out.mean)
-    else:
-        noise = rng.standard_normal(out.mean.shape)
-    return sample_squashed(out, noise)
 
 
 def _squashed_log_prob(log_std: np.ndarray, noise: np.ndarray, u: np.ndarray) -> np.ndarray:

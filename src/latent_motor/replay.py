@@ -10,16 +10,6 @@ from .errors import ConfigurationError
 
 
 @dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    truncated: bool
-    task_id: int
-
-
-@dataclass
 class Batch:
     obs: np.ndarray
     action: np.ndarray
@@ -59,21 +49,24 @@ class ReplayBuffer:
     def __len__(self):
         return self.size
 
-    def add(self, t: Transition) -> None:
-        i = self.head
-        self.obs[i] = t.state
-        self.action[i] = t.action
-        self.reward[i] = t.reward
-        self.next_obs[i] = t.next_state
-        self.truncated[i] = t.truncated
-        self.task_id[i] = t.task_id
-        self.head = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+    def add(self, obs, action, reward, next_obs, truncated, task_id) -> None:
+        """Append K transitions given as row-aligned arrays, oldest first.
 
-    def add_batch(self, obs, action, reward, next_obs, truncated, task_id) -> None:
-        for i in range(len(reward)):
-            self.add(Transition(obs[i], action[i], float(reward[i]),
-                                next_obs[i], bool(truncated[i]), int(task_id[i])))
+        Past capacity the oldest rows are overwritten, so the buffer ends
+        exactly as after K one-row adds (with K > capacity only the last
+        capacity rows survive).
+        """
+        k = len(reward)
+        skip = max(k - self.capacity, 0)
+        idx = (self.head + np.arange(skip, k)) % self.capacity
+        self.obs[idx] = obs[skip:]
+        self.action[idx] = action[skip:]
+        self.reward[idx] = reward[skip:]
+        self.next_obs[idx] = next_obs[skip:]
+        self.truncated[idx] = truncated[skip:]
+        self.task_id[idx] = task_id[skip:]
+        self.head = (self.head + k) % self.capacity
+        self.size = min(self.size + k, self.capacity)
 
     def sample(self, batch_size: int, rng) -> Batch:
         if self.size == 0:

@@ -36,7 +36,7 @@ from .envs import (
 from .errors import ConfigurationError, NonFiniteGradient, TrainingDiverged
 from .nn import adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, soft_update
 from .policies import build_policy
-from .replay import Batch, ReplayBuffer, Transition
+from .replay import Batch, ReplayBuffer
 from .rng import RngStreams, eval_generator
 
 
@@ -154,38 +154,23 @@ class SacModel:
     def onehot(self, task_ids: np.ndarray) -> np.ndarray:
         return self._eye[np.asarray(task_ids)]
 
+    def task(self, task_index: int) -> TaskSpec:
+        """The training task at task_index, which must be in [0, n_tasks)."""
+        if not 0 <= task_index < self.n_tasks:
+            raise ConfigurationError(
+                f"task index {task_index} out of range [0, {self.n_tasks})")
+        return self.tasks[task_index]
+
     def lte_for_task(self, task_index: int) -> np.ndarray:
         if self.kind != "ear":
             raise ConfigurationError("only the shared-interface policy has task embeddings")
+        self.task(task_index)
         return self.policy.lte_for_task(task_index)
 
     def lte_set(self) -> np.ndarray:
         if self.kind != "ear":
             raise ConfigurationError("only the shared-interface policy has task embeddings")
         return self.policy.lte_set()
-
-
-def policy_forward(model: SacModel, obs: np.ndarray, task_id: int, noisy: bool, rng):
-    """Action and log-prob for a single observation through the full stack.
-
-    The sensory embedding always comes from the state encoder; the task
-    embedding is noise-injected only when `noisy`. rng=None gives the
-    deterministic (mean) action.
-    """
-    obs2 = np.asarray(obs, dtype=np.float64)[None, :]
-    ids = np.array([task_id])
-    if rng is None:
-        if noisy:
-            raise ConfigurationError("noisy sampling needs an rng")
-        action = model.policy.action_eval(obs2, task_ids=ids)[0]
-        return action, None
-    sigma = model.config.sigma_noise
-    lte_noise = None
-    if noisy and sigma > 0 and model.kind == "ear":
-        lte_noise = rng.standard_normal((1, model.config.lte_dim)) * sigma
-    samp = rng.standard_normal((1, model.action_dim))
-    action, logp, _ = model.policy.forward_train(obs2, ids, lte_noise, samp)
-    return action[0], float(logp[0])
 
 
 def q_target(model: SacModel, batch: Batch) -> np.ndarray:
@@ -295,9 +280,7 @@ def _collect(model: SacModel, buffer: ReplayBuffer) -> None:
         samp = model.rngs.get("policy").standard_normal((model.n_tasks, model.action_dim))
         action, _, _ = model.policy.forward_train(obs, ids, lte_noise, samp)
         next_obs, rewards, truncated = vec.step(action)
-        for k in range(model.n_tasks):
-            buffer.add(Transition(obs[k], action[k], float(rewards[k]),
-                                  next_obs[k], truncated, k))
+        buffer.add(obs, action, rewards, next_obs, np.full(model.n_tasks, truncated), ids)
         obs = next_obs
 
 

@@ -1,9 +1,9 @@
 """Shared fixtures for the acceptance suite.
 
 Training runs dominate the suite's cost, so every trained model is
-built once per session and cached on disk (keyed by its full config) so
-repeated local runs skip retraining. Set LATENT_MOTOR_TEST_CACHE=off to
-force fresh training.
+built once per session and cached on disk (keyed by its full config and
+the training code's sources) so repeated local runs skip retraining.
+Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
 """
 
 import hashlib
@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import latent_motor
 from latent_motor.checkpoint import load_checkpoint, save_checkpoint
 from latent_motor.envs import make_task_set
 from latent_motor.sac import TrainConfig, train
@@ -36,6 +37,20 @@ DIR_COMPARE_EPOCHS = 40
 RUNJUMP_EPOCHS = 120
 SEEDS = (0, 1, 2)
 
+# Modules whose code decides a trained model's bytes; their sources are
+# part of the cache key, so a change to training code cannot be served
+# models trained by the old code.
+TRAINING_MODULES = ("nn", "policies", "sac", "replay", "envs", "embedding", "rng")
+
+
+def _training_sources_sha256() -> str:
+    digest = hashlib.sha256()
+    src = os.path.dirname(latent_motor.__file__)
+    for name in TRAINING_MODULES:
+        with open(os.path.join(src, f"{name}.py"), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
 
 def _train_cached(kind, family, config, count=None):
     from latent_motor.envs import DEFAULT_CONSTANTS
@@ -50,7 +65,7 @@ def _train_cached(kind, family, config, count=None):
     os.makedirs(CACHE_DIR, exist_ok=True)
     key = hashlib.sha256(json.dumps(
         {"kind": kind, "family": family, "count": count, "config": config.as_dict(),
-         "constants": DEFAULT_CONSTANTS.as_dict()},
+         "constants": DEFAULT_CONSTANTS.as_dict(), "sources": _training_sources_sha256()},
         sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(CACHE_DIR, f"{key}.ckpt.json")
     if os.path.exists(path):

@@ -23,10 +23,10 @@ from latent_motor.analysis import (
     pca_reconstruct,
     search_beta,
     spearman,
-    sphere_edges,
 )
 from latent_motor.cem import CemConfig, cem_adapt, cem_optimize
 from latent_motor.cli import main as cli_main
+from latent_motor.embedding import sphere_adjacency
 from latent_motor.envs import TaskSpec
 from latent_motor.nn import (
     finite_difference_check,
@@ -281,7 +281,7 @@ def test_c10_representation_analyses(vel5_models, dir8_model):
     model = vel5_models[0]
     cells = evaluate_sphere(model, model.tasks[0], 12, eval_seed=EVAL_SEED)
     metric = np.array([c.metric for c in cells])
-    diffs = np.array([abs(metric[a] - metric[b]) for a, b in sphere_edges(12)])
+    diffs = np.array([abs(metric[a] - metric[b]) for a, b in sphere_adjacency(12)])
     cont = float(np.mean(diffs < 0.5))
     ok = line_ok and ortho_ok and recon_ok and period_ok and cont >= 0.95
     verdict(10, "representation analyses", ok,

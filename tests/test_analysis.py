@@ -12,8 +12,8 @@ from latent_motor.analysis import (
     pca_reconstruct,
     periodicity_score,
     spearman,
-    sphere_edges,
 )
+from latent_motor.embedding import sphere_adjacency
 from latent_motor.envs import make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.sac import SacModel, TrainConfig, evaluate_policy
@@ -131,7 +131,7 @@ def test_evaluate_sphere_pure_wrt_model():
 
 
 def test_sphere_edges_cover_grid():
-    edges = sphere_edges(3)
+    edges = sphere_adjacency(3)
     touched = set()
     for a, b in edges:
         touched.add(a)

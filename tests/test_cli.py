@@ -249,6 +249,39 @@ def test_grad_check_exit_zero():
     assert main(["grad-check"]) == 0
 
 
+def assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ConfigurationError:") and "\n" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_task_index_out_of_range_exits_1(trained, tmp_path, capsys):
+    cfg, ckpt, _ = trained  # a 2-task checkpoint
+    common = ["--config", cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "x")]
+    for argv in (["interp", "--task-i", "7", "--task-j", "0"],
+                 ["interp", "--task-i", "0", "--task-j", "2"],
+                 ["search-beta", "--task-i", "5", "--task-j", "0", "--target", "1.0"],
+                 ["compose", "--task-a", "0", "--task-b", "3"],
+                 ["sphere", "--task-index", "5"],
+                 ["lse-viz", "--task-index", "2"],
+                 ["eval", "--task-index", "9"]):
+        assert main(argv + common) == 1, argv
+        assert_one_error_line(capsys, "out of range [0, 2)")
+    assert not os.path.exists(str(tmp_path / "x" / "sphere.csv"))
+
+
+def test_negative_task_index_exits_1(trained, tmp_path, capsys):
+    cfg, ckpt, _ = trained
+    common = ["--config", cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "x")]
+    for argv in (["interp", "--task-i", "-1", "--task-j", "1"],
+                 ["sphere", "--task-index", "-1"],
+                 ["eval", "--task-index", "-2"]):
+        assert main(argv + common) == 1, argv
+        assert_one_error_line(capsys, "task index -")
+    assert not os.path.exists(str(tmp_path / "x" / "sweep.csv"))
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

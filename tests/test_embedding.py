@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from latent_motor.embedding import (
     TaskEncoder,
-    encode_task,
     inject_noise,
     interpolate,
-    lte_set,
     normalize,
     sphere_adjacency,
     sphere_grid,
 )
+from latent_motor.envs import make_task_set
 from latent_motor.errors import ConfigurationError, DegenerateEmbedding
+from latent_motor.sac import SacModel, TrainConfig
 
 unit_vectors = st.builds(
     lambda seed: normalize(np.random.default_rng(seed).normal(size=3)),
@@ -43,24 +43,35 @@ def test_normalize_scale_invariant(v, c):
     assert np.max(np.abs(normalize(c * v) - normalize(v))) < 1e-12
 
 
-def test_encode_task_identity_rows():
-    enc = TaskEncoder(np.eye(3), np.zeros(3))
-    assert encode_task(enc, 0) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+def model_with_encoder(weight, bias):
+    """A tiny shared-interface model whose task encoder is set by hand."""
+    model = SacModel("ear", make_task_set("vel1d", count=weight.shape[1]),
+                     TrainConfig(hidden_width=4, lse_dim=2, lte_dim=weight.shape[0]))
+    model.policy.task_encoder = TaskEncoder(weight, bias)
+    return model
 
 
-def test_encode_task_scale_invariance():
-    enc = TaskEncoder(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3))
-    assert encode_task(enc, 0) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+def test_lte_for_task_identity_rows():
+    model = model_with_encoder(np.eye(3), np.zeros(3))
+    assert model.lte_for_task(0) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    assert np.array_equal(model.lte_set(), np.eye(3))
 
 
-def test_encode_task_unit_norm_and_range():
+def test_lte_for_task_scale_invariance():
+    model = model_with_encoder(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3))
+    assert model.lte_for_task(0) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+
+
+def test_lte_for_task_unit_norm_and_range():
     rng = np.random.default_rng(4)
-    enc = TaskEncoder(rng.normal(size=(3, 5)), rng.normal(size=3))
+    model = model_with_encoder(rng.normal(size=(3, 5)), rng.normal(size=3))
     for k in range(5):
-        assert np.linalg.norm(encode_task(enc, k)) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ConfigurationError):
-        encode_task(enc, 5)
-    assert lte_set(enc).shape == (5, 3)
+        assert np.linalg.norm(model.lte_for_task(k)) == pytest.approx(1.0, abs=1e-9)
+        assert np.array_equal(model.lte_for_task(k), model.lte_set()[k])
+    for bad in (5, -1):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            model.lte_for_task(bad)
+    assert model.lte_set().shape == (5, 3)
 
 
 def test_inject_noise_sigma_zero_exact():

@@ -1,25 +1,21 @@
 """Environment suite tests: dynamics, rewards, task sets, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latent_motor.envs import (
-    CLIP_WARNINGS,
     DEFAULT_CONSTANTS,
     DIR2D,
     RUNJUMP,
     VEL1D,
     EnvConstants,
-    EnvState,
     TaskSpec,
     VecRollout,
-    direction_degrees,
-    env_reset,
-    env_step,
     make_task_set,
-    observe,
 )
 from latent_motor.errors import ConfigurationError
 
@@ -28,30 +24,46 @@ def vel_task(target=1.0, ctrl=0.0):
     return TaskSpec(VEL1D, (target,), reward_ctrl_cost=ctrl)
 
 
+def one_row(task, pos, vel, consts=DEFAULT_CONSTANTS):
+    """A one-row rollout placed at a given state."""
+    vec = VecRollout([task], consts)
+    vec.pos = np.array([pos], dtype=np.float64)
+    vec.vel = np.array([vel], dtype=np.float64)
+    return vec
+
+
+def step_one(vec, action):
+    """Step a one-row rollout; returns (reward, truncated)."""
+    _, rewards, truncated = vec.step(np.asarray(action, dtype=np.float64)[None, :])
+    return rewards[0], truncated
+
+
 def test_reset_vel1d_velocity_range():
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        s = env_reset(vel_task(), rng)
-        assert np.all(np.abs(s.velocity) <= 0.05)
-        assert np.all(s.position == 0.0)
-        assert s.step_count == 0
+    vec = VecRollout([vel_task()] * 50)
+    obs = vec.reset(rng)
+    assert np.all(np.abs(vec.vel) <= 0.05) and np.max(np.abs(vec.vel)) > 0.0
+    assert np.all(vec.pos == 0.0)
+    assert vec.t == 0
+    assert np.array_equal(obs, vec.vel)
 
 
 def test_reset_runjump_at_rest_on_ground():
-    s = env_reset(TaskSpec(RUNJUMP, (1.0,)), np.random.default_rng(0))
-    assert s.position[1] == 0.0 and s.velocity[1] == 0.0
-    assert np.all(s.velocity == 0.0)
+    vec = VecRollout([TaskSpec(RUNJUMP, (1.0,))] * 3)
+    obs = vec.reset(np.random.default_rng(0))
+    assert np.all(vec.pos == 0.0) and np.all(vec.vel == 0.0)
+    assert np.all(obs == 0.0)
 
 
 def test_reset_honours_configured_velocity_range():
     consts = EnvConstants(reset_vel_range=3.0)
     task = TaskSpec(DIR2D, (1.0, 0.0))
-    vels = np.array([env_reset(task, np.random.default_rng(s), consts).velocity
-                     for s in range(50)])
-    assert np.all(np.abs(vels) <= 3.0) and np.max(np.abs(vels)) > 0.05
-    batch = VecRollout([task], consts)
-    batch.reset(np.random.default_rng(0))
-    assert np.array_equal(vels[0], batch.vel[0])
+    vec = VecRollout([task] * 50, consts)
+    vec.reset(np.random.default_rng(0))
+    assert np.all(np.abs(vec.vel) <= 3.0) and np.max(np.abs(vec.vel)) > 0.05
+    # the draw is uniform(-r, r) per axis from the given generator
+    expect = np.random.default_rng(0).uniform(-3.0, 3.0, size=(50, 2))
+    assert np.array_equal(vec.vel, expect)
 
 
 def test_vec_reset_repeats_tile_the_draw():
@@ -65,30 +77,29 @@ def test_vec_reset_repeats_tile_the_draw():
 
 
 def test_reset_deterministic():
-    a = env_reset(vel_task(), np.random.default_rng(7))
-    b = env_reset(vel_task(), np.random.default_rng(7))
-    assert np.array_equal(a.velocity, b.velocity)
+    a, b = VecRollout([vel_task()] * 4), VecRollout([vel_task()] * 4)
+    a.reset(np.random.default_rng(7))
+    b.reset(np.random.default_rng(7))
+    assert np.array_equal(a.vel, b.vel)
 
 
 def test_step_vel1d_analytic():
     # dt=0.05, drag=0, F/m=1, v=1, a=0, v*=1, c=0 -> reward 0, v'=1
-    import dataclasses
     consts = dataclasses.replace(DEFAULT_CONSTANTS, drag=0.0, f_max=1.0)
-    state = EnvState(np.zeros(1), np.array([1.0]), 0)
-    res = env_step(state, np.array([0.0]), vel_task(1.0), consts)
-    assert res.reward == pytest.approx(0.0, abs=1e-15)
-    assert res.next_state.velocity[0] == pytest.approx(1.0, abs=1e-15)
-    assert res.next_state.position[0] == pytest.approx(0.05, abs=1e-15)
+    vec = one_row(vel_task(1.0), [0.0], [1.0], consts)
+    reward, _ = step_one(vec, [0.0])
+    assert reward == pytest.approx(0.0, abs=1e-15)
+    assert vec.vel[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert vec.pos[0, 0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_step_dir2d_full_perpendicular_penalty():
     # v'=(1,0) with u=(0,1): reward = 0 - 1 - 0
-    import dataclasses
     consts = dataclasses.replace(DEFAULT_CONSTANTS, drag=0.0)
     task = TaskSpec(DIR2D, (0.0, 1.0), reward_ctrl_cost=0.0)
-    state = EnvState(np.zeros(2), np.array([1.0, 0.0]), 0)
-    res = env_step(state, np.zeros(2), task, consts)
-    assert res.reward == pytest.approx(-1.0, abs=1e-12)
+    vec = one_row(task, [0.0, 0.0], [1.0, 0.0], consts)
+    reward, _ = step_one(vec, [0.0, 0.0])
+    assert reward == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_step_runjump_jump_reward():
@@ -100,106 +111,107 @@ def test_step_runjump_jump_reward():
     vy = 1.0
     vy_next = vy + (-c.gravity - c.jump_drag * vy) * c.dt
     y0 = 0.5 - vy_next * c.dt
-    state = EnvState(np.array([0.0, y0]), np.array([0.0, vy]), 0)
-    res = env_step(state, np.zeros(2), task, c)
-    assert res.next_state.position[1] == pytest.approx(0.5, abs=1e-12)
-    assert res.reward == pytest.approx(1.0, abs=1e-12)
+    vec = one_row(task, [0.0, y0], [0.0, vy], c)
+    reward, _ = step_one(vec, [0.0, 0.0])
+    assert vec.pos[0, 1] == pytest.approx(0.5, abs=1e-12)
+    assert reward == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_determinism_bit_identical():
     task = TaskSpec(DIR2D, (1.0, 0.0))
-    state = EnvState(np.array([0.1, -0.2]), np.array([0.4, 0.3]), 3)
     a = np.array([0.5, -0.25])
-    r1 = env_step(state, a, task)
-    r2 = env_step(state, a, task)
-    assert r1.reward == r2.reward
-    assert np.array_equal(r1.next_state.velocity, r2.next_state.velocity)
-    assert np.array_equal(r1.next_state.position, r2.next_state.position)
+    r1 = one_row(task, [0.1, -0.2], [0.4, 0.3])
+    r2 = one_row(task, [0.1, -0.2], [0.4, 0.3])
+    reward1, _ = step_one(r1, a)
+    reward2, _ = step_one(r2, a)
+    assert reward1 == reward2
+    assert np.array_equal(r1.vel, r2.vel)
+    assert np.array_equal(r1.pos, r2.pos)
 
 
-def test_step_clips_and_counts_out_of_range_actions():
-    CLIP_WARNINGS.reset()
-    state = env_reset(vel_task(), np.random.default_rng(0))
-    env_step(state, np.array([1.5]), vel_task())
-    assert CLIP_WARNINGS.count == 1
-    env_step(state, np.array([0.5]), vel_task())
-    assert CLIP_WARNINGS.count == 1
+def test_step_clips_out_of_range_actions():
+    task = vel_task(1.0, ctrl=1e-3)
+    over, at_max = one_row(task, [0.0], [0.3]), one_row(task, [0.0], [0.3])
+    r_over, _ = step_one(over, [1.5])
+    r_max, _ = step_one(at_max, [1.0])
+    assert r_over == r_max
+    assert np.array_equal(over.vel, at_max.vel)
+    under, at_min = one_row(task, [0.0], [0.3]), one_row(task, [0.0], [0.3])
+    assert step_one(under, [-7.0]) == step_one(at_min, [-1.0])
 
 
 def test_step_wrong_action_shape():
-    state = env_reset(vel_task(), np.random.default_rng(0))
-    with pytest.raises(ConfigurationError):
-        env_step(state, np.zeros(2), vel_task())
+    vec = VecRollout([vel_task()] * 2)
+    vec.reset(np.random.default_rng(0))
+    for bad in (np.zeros((2, 2)), np.zeros(2), np.zeros((3, 1))):
+        with pytest.raises(ConfigurationError):
+            vec.step(bad)
+    assert vec.t == 0
 
 
 def test_zero_action_zero_drag_constant_velocity():
-    import dataclasses
     consts = dataclasses.replace(DEFAULT_CONSTANTS, drag=0.0)
-    state = EnvState(np.zeros(1), np.array([0.8]), 0)
+    vec = one_row(vel_task(), [0.0], [0.8], consts)
     for _ in range(20):
-        res = env_step(state, np.zeros(1), vel_task(), consts)
-        state = res.next_state
-    assert state.velocity[0] == pytest.approx(0.8, abs=1e-12)
+        step_one(vec, [0.0])
+    assert vec.vel[0, 0] == pytest.approx(0.8, abs=1e-12)
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=30, deadline=None)
 def test_drag_shrinks_speed_under_zero_action(v0):
-    state = EnvState(np.zeros(1), np.array([v0]), 0)
+    vec = one_row(vel_task(), [0.0], [v0])
     speed = abs(v0)
     for _ in range(10):
-        state = env_step(state, np.zeros(1), vel_task()).next_state
-        assert abs(state.velocity[0]) <= speed + 1e-12
-        speed = abs(state.velocity[0])
+        step_one(vec, [0.0])
+        assert abs(vec.vel[0, 0]) <= speed + 1e-12
+        speed = abs(vec.vel[0, 0])
 
 
 def test_vel1d_reward_never_positive():
     rng = np.random.default_rng(5)
-    task = vel_task(1.3, ctrl=1e-3)
-    state = env_reset(task, rng)
+    vec = VecRollout([vel_task(1.3, ctrl=1e-3)] * 4)
+    vec.reset(rng)
     for _ in range(100):
-        res = env_step(state, rng.uniform(-1, 1, 1), task)
-        assert res.reward <= 0.0
-        state = res.next_state
+        _, rewards, _ = vec.step(rng.uniform(-1, 1, (4, 1)))
+        assert np.all(rewards <= 0.0)
 
 
 def test_dir2d_reward_bounded_by_speed():
     rng = np.random.default_rng(6)
-    task = TaskSpec(DIR2D, (1.0, 0.0), reward_ctrl_cost=1e-3)
-    state = env_reset(task, rng)
+    vec = VecRollout([TaskSpec(DIR2D, (1.0, 0.0), reward_ctrl_cost=1e-3)] * 4)
+    vec.reset(rng)
     for _ in range(100):
-        res = env_step(state, rng.uniform(-1, 1, 2), task)
-        state = res.next_state
-        assert res.reward <= np.linalg.norm(state.velocity) + 1e-12
+        _, rewards, _ = vec.step(rng.uniform(-1, 1, (4, 2)))
+        assert np.all(rewards <= np.linalg.norm(vec.vel, axis=1) + 1e-12)
 
 
 def test_runjump_height_never_negative():
     rng = np.random.default_rng(9)
-    task = TaskSpec(RUNJUMP, (0.0,), modality_weight=1.0, jump_modality=True)
-    state = env_reset(task, rng)
+    vec = VecRollout([TaskSpec(RUNJUMP, (0.0,), modality_weight=1.0, jump_modality=True)] * 4)
+    vec.reset(rng)
     for _ in range(200):
-        res = env_step(state, rng.uniform(-1, 1, 2), task)
-        state = res.next_state
-        assert state.position[1] >= 0.0
+        vec.step(rng.uniform(-1, 1, (4, 2)))
+        assert np.all(vec.pos[:, 1] >= 0.0)
 
 
 def test_runjump_can_leave_ground():
     task = TaskSpec(RUNJUMP, (0.0,), modality_weight=1.0, jump_modality=True)
-    state = env_reset(task, np.random.default_rng(0))
+    vec = VecRollout([task])
+    vec.reset(np.random.default_rng(0))
     for _ in range(50):
-        state = env_step(state, np.array([0.0, 1.0]), task).next_state
-    assert state.position[1] > 0.1
+        step_one(vec, [0.0, 1.0])
+    assert vec.pos[0, 1] > 0.1
 
 
 def test_episode_truncates_at_max_frames():
-    task = vel_task()
-    state = env_reset(task, np.random.default_rng(1))
+    vec = VecRollout([vel_task()] * 2)
+    vec.reset(np.random.default_rng(1))
     for t in range(DEFAULT_CONSTANTS.max_episode_frames):
-        res = env_step(state, np.zeros(1), task)
-        state = res.next_state
-        expect_done = t == DEFAULT_CONSTANTS.max_episode_frames - 1
-        assert res.done == expect_done
-        assert res.truncated == expect_done
+        _, _, truncated = vec.step(np.zeros((2, 1)))
+        assert truncated == (t == DEFAULT_CONSTANTS.max_episode_frames - 1)
+    vec.reset(np.random.default_rng(1))
+    assert vec.t == 0
 
 
 def test_proportional_controller_solves_every_vel1d_task():
@@ -209,13 +221,13 @@ def test_proportional_controller_solves_every_vel1d_task():
     frames = DEFAULT_CONSTANTS.max_episode_frames
     warmup = frames // 4
     for task in make_task_set(VEL1D):
-        state = env_reset(task, np.random.default_rng(3))
+        vec = VecRollout([task])
+        vec.reset(np.random.default_rng(3))
         errs = []
         for t in range(frames):
-            a = np.clip(10.0 * (task.target_array - state.velocity), -1, 1)
-            state = env_step(state, a, task).next_state
+            step_one(vec, np.clip(10.0 * (task.target_array - vec.vel[0]), -1, 1))
             if t >= warmup:
-                errs.append(abs(state.velocity[0] - task.target_array[0]))
+                errs.append(abs(vec.vel[0, 0] - task.target_array[0]))
         assert np.mean(errs) < 0.05
 
 
@@ -226,7 +238,8 @@ def test_make_task_set_vel1d_targets():
 
 def test_make_task_set_dir2d_angles():
     tasks = make_task_set(DIR2D, count=4)
-    assert [direction_degrees(t) for t in tasks] == pytest.approx([0.0, 90.0, 180.0, 270.0])
+    degrees = [np.degrees(np.arctan2(t.target[1], t.target[0])) % 360.0 for t in tasks]
+    assert degrees == pytest.approx([0.0, 90.0, 180.0, 270.0])
     for t in tasks:
         assert np.linalg.norm(t.target_array) == pytest.approx(1.0, abs=1e-12)
 
@@ -244,21 +257,34 @@ def test_make_task_set_too_few():
 
 
 def test_observe_shapes():
-    assert observe(EnvState(np.zeros(1), np.zeros(1), 0), VEL1D).shape == (1,)
-    assert observe(EnvState(np.zeros(2), np.zeros(2), 0), DIR2D).shape == (2,)
-    assert observe(EnvState(np.zeros(2), np.zeros(2), 0), RUNJUMP).shape == (3,)
+    # absolute horizontal position is never observed
+    for family, width in ((VEL1D, 1), (DIR2D, 2), (RUNJUMP, 3)):
+        vec = VecRollout(make_task_set(family, count=3))
+        obs = vec.reset(np.random.default_rng(0))
+        assert obs.shape == (vec.k, width)
+        obs, _, _ = vec.step(np.full((vec.k, vec.vel.shape[1]), 0.5))
+        assert obs.shape == (vec.k, width)
+        if family == RUNJUMP:
+            assert np.array_equal(obs, np.stack([vec.vel[:, 0], vec.pos[:, 1],
+                                                 vec.vel[:, 1]], axis=1))
+        else:
+            assert np.array_equal(obs, vec.vel)
 
 
 def test_vec_rollout_matches_single_env():
-    tasks = make_task_set(VEL1D, count=3)
-    vec = VecRollout(tasks)
+    # K rows stepped together equal each row in its own one-row rollout, bitwise
     rng = np.random.default_rng(4)
-    init = rng.uniform(-0.05, 0.05, size=(3, 1))
-    vec.vel = init.copy()
-    vec.pos = np.zeros((3, 1))
-    actions = rng.uniform(-1, 1, size=(3, 1))
-    _, rewards, _ = vec.step(actions)
-    for k, task in enumerate(tasks):
-        res = env_step(EnvState(np.zeros(1), init[k].copy(), 0), actions[k], task)
-        assert res.reward == rewards[k]
-        assert np.array_equal(res.next_state.velocity, vec.vel[k])
+    for family in (VEL1D, DIR2D, RUNJUMP):
+        tasks = make_task_set(family, count=3)
+        vec = VecRollout(tasks)
+        vec.reset(np.random.default_rng(1))
+        singles = [one_row(task, vec.pos[k], vec.vel[k]) for k, task in enumerate(tasks)]
+        for _ in range(30):
+            actions = rng.uniform(-1.2, 1.2, size=(vec.k, vec.vel.shape[1]))
+            obs, rewards, truncated = vec.step(actions)
+            for k, single in enumerate(singles):
+                o, r, tr = single.step(actions[k][None, :])
+                assert r[0] == rewards[k] and tr == truncated
+                assert np.array_equal(o[0], obs[k])
+                assert np.array_equal(single.pos[0], vec.pos[k])
+                assert np.array_equal(single.vel[0], vec.vel[k])

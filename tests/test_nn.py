@@ -17,7 +17,7 @@ from latent_motor.nn import (
     mlp_forward,
     mlp_init,
     policy_log_prob,
-    policy_sample,
+    sample_squashed,
     soft_update,
 )
 
@@ -182,7 +182,7 @@ def test_gaussian_head_clamps_log_std():
 
 def test_policy_sample_deterministic_at_tiny_std():
     out = gaussian_head(np.array([0.0, -20.0]))
-    action, _, _ = policy_sample(out, rng=None)
+    action, _, _ = sample_squashed(out, np.zeros(1))
     assert abs(action[0]) < 1e-12
 
 
@@ -198,8 +198,8 @@ def test_policy_sample_density_integrates_to_one():
 
 def test_policy_sample_fixed_seed_reproduces():
     out = gaussian_head(np.array([[0.1, -0.2, 0.0, -1.0]]))
-    a1, l1, _ = policy_sample(out, np.random.default_rng(9))
-    a2, l2, _ = policy_sample(out, np.random.default_rng(9))
+    a1, l1, _ = sample_squashed(out, np.random.default_rng(9).standard_normal((1, 2)))
+    a2, l2, _ = sample_squashed(out, np.random.default_rng(9).standard_normal((1, 2)))
     assert np.array_equal(a1, a2)
     assert np.array_equal(l1, l2)
 
@@ -210,7 +210,8 @@ def test_policy_sample_fixed_seed_reproduces():
 @settings(max_examples=60, deadline=None)
 def test_log_prob_finite_and_action_interior(log_std, mean, seed):
     out = GaussianPolicyOutput(np.array([mean]), np.array([log_std]))
-    action, log_prob, _ = policy_sample(out, np.random.default_rng(seed))
+    noise = np.random.default_rng(seed).standard_normal(1)
+    action, log_prob, _ = sample_squashed(out, noise)
     assert np.isfinite(log_prob).all()
     assert np.all(action > -1.0) and np.all(action < 1.0)
 

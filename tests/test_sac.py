@@ -10,7 +10,7 @@ from scipy import stats
 from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.nn import mlp_forward
-from latent_motor.replay import Batch, ReplayBuffer, Transition
+from latent_motor.replay import Batch, ReplayBuffer
 from latent_motor.rng import eval_generator
 from latent_motor.sac import (
     EvalReport,
@@ -18,7 +18,6 @@ from latent_motor.sac import (
     TrainConfig,
     evaluate_embeddings,
     evaluate_policy,
-    policy_forward,
     q_target,
     sac_update,
     train_baseline,
@@ -55,19 +54,46 @@ def random_batch(model, n=16, seed=0):
 
 # --- replay buffer ---
 
+def buffer_rows(values):
+    """K transitions whose fields all encode the given values."""
+    v = np.asarray(values, dtype=np.float64)
+    return (v[:, None], -v[:, None], v, 2 * v[:, None],
+            v.astype(np.int64) % 2 == 1, v.astype(np.int64) % 3)
+
+
 def test_buffer_fifo_capacity():
     buf = ReplayBuffer(4, 1, 1)
     for i in range(7):
-        buf.add(Transition(np.array([i]), np.zeros(1), float(i), np.zeros(1), False, 0))
+        buf.add(*buffer_rows([i]))
     assert len(buf) == 4
     # oldest entries evicted: rewards now {3,4,5,6}
     assert sorted(buf.reward.tolist()) == [3.0, 4.0, 5.0, 6.0]
 
 
+def test_buffer_k_row_add_matches_per_row_adds():
+    # reference: the ring written one row at a time
+    cap = 5
+    ref = {"reward": np.zeros(cap), "head": 0, "size": 0}
+    buf = ReplayBuffer(cap, 1, 1)
+    start = 0
+    for k in (1, 3, 2, 4, 5, 7, 12, 1):  # wraps mid-add, K == and > capacity
+        values = np.arange(start, start + k, dtype=np.float64)
+        start += k
+        for v in values:
+            ref["reward"][ref["head"]] = v
+            ref["head"] = (ref["head"] + 1) % cap
+            ref["size"] = min(ref["size"] + 1, cap)
+        buf.add(*buffer_rows(values))
+        assert (buf.head, buf.size) == (ref["head"], ref["size"])
+        assert np.array_equal(buf.reward, ref["reward"])
+        for field, rows in zip(("obs", "action", "reward", "next_obs", "truncated",
+                                "task_id"), buffer_rows(buf.reward)):
+            assert np.array_equal(getattr(buf, field), rows)
+
+
 def test_buffer_uniform_sampling_chi_square():
     buf = ReplayBuffer(100, 1, 1)
-    for i in range(100):
-        buf.add(Transition(np.array([i]), np.zeros(1), float(i), np.zeros(1), False, 0))
+    buf.add(*buffer_rows(np.arange(100)))
     rng = np.random.default_rng(0)
     counts = np.zeros(100)
     batch = buf.sample(100_000, rng)
@@ -111,20 +137,33 @@ def test_mhmt_head_blocks():
 
 # --- policy forward ---
 
-def test_policy_forward_deterministic_repeatable():
+def test_action_eval_deterministic_repeatable():
     m = tiny_model()
-    obs = np.array([0.3])
-    a1, _ = policy_forward(m, obs, 1, noisy=False, rng=None)
-    a2, _ = policy_forward(m, obs, 1, noisy=False, rng=None)
+    obs = np.array([[0.3]])
+    a1 = m.policy.action_eval(obs, task_ids=np.array([1]))
+    a2 = m.policy.action_eval(obs, task_ids=np.array([1]))
     assert np.array_equal(a1, a2)
+    # the deterministic action is the clean, zero-noise training sample
+    a3, _, _ = m.policy.forward_train(obs, np.array([1]), None, np.zeros((1, 1)))
+    assert np.array_equal(a1, a3)
 
 
-def test_policy_forward_same_seed_same_action():
-    m = tiny_model()
-    obs = np.array([0.3])
-    a1, l1 = policy_forward(m, obs, 0, noisy=True, rng=np.random.default_rng(5))
-    a2, l2 = policy_forward(m, obs, 0, noisy=True, rng=np.random.default_rng(5))
-    assert np.array_equal(a1, a2) and l1 == l2
+def test_forward_train_same_noise_same_action():
+    obs = np.array([[0.3], [-0.1]])
+    ids = np.array([0, 2])
+    for kind in ("ear", "ohe", "mhmt"):
+        m = tiny_model(kind)
+
+        def draw(seed):
+            rng = np.random.default_rng(seed)
+            return (rng.standard_normal((2, m.config.lte_dim)) * 0.05,
+                    rng.standard_normal((2, 1)))
+
+        a1, l1, _ = m.policy.forward_train(obs, ids, *draw(5))
+        a2, l2, _ = m.policy.forward_train(obs, ids, *draw(5))
+        a3, _, _ = m.policy.forward_train(obs, ids, *draw(6))
+        assert np.array_equal(a1, a2) and np.array_equal(l1, l2)
+        assert not np.array_equal(a1, a3)
 
 
 def test_policy_sensitive_to_embedding():

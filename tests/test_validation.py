@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latent_motor.checkpoint import load_checkpoint, save_checkpoint
+from latent_motor.config import parse_config
 from latent_motor.embedding import interpolate
 from latent_motor.envs import TaskSpec, make_task_set
 from latent_motor.errors import ConfigurationError
@@ -60,3 +61,42 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
     # raw embeddings are generally not unit norm and must survive as-is
     assert np.array_equal(model.lte_set(), loaded.lte_set())
+
+
+@pytest.mark.parametrize("section,key,value,fragment", [
+    ("train", "batch_size", "16", "train.batch_size must be an integer"),
+    ("train", "hidden_width", 8.5, "train.hidden_width must be an integer"),
+    ("train", "pretrain_epochs", True, "train.pretrain_epochs must be an integer"),
+    ("train", "gamma", "0.9", "train.gamma must be a number"),
+    ("train", "lr", False, "train.lr must be a number"),
+    ("train", "normalize_lte", 1, "train.normalize_lte must be true or false"),
+    ("train", "optimization_times", -1, "train.optimization_times must be >= 0"),
+    ("train", "buffer_capacity", -5, "train.buffer_capacity must be >= 0"),
+    ("train", "batch_size", 1, "train.batch_size must be >= 2"),
+    ("env", "count", 2.0, "env.count must be an integer or null"),
+    ("env", "family", 3, "env.family must be a str"),
+    ("env", "jump_weights", 2.0, "env.jump_weights must be a list"),
+    ("env", "max_episode_frames", -200, "env.max_episode_frames must be >= 0"),
+    ("cem", "samples_per_elite", -1, "cem.samples_per_elite must be >= 0"),
+    ("cem", "sample_sigma", None, "cem.sample_sigma must be a number"),
+    ("analysis", "sphere_resolution", "12", "analysis.sphere_resolution must be an integer"),
+    ("analysis", "betas", "0.5", "analysis.betas must be a list"),
+])
+def test_config_field_types_and_counts_checked(section, key, value, fragment):
+    with pytest.raises(ConfigurationError) as exc:
+        parse_config({section: {key: value}})
+    assert fragment in str(exc.value)
+
+
+def test_config_accepts_well_typed_values():
+    cfg = parse_config({
+        "env": {"count": None, "low": 1, "jump_weights": [1, 2.5]},
+        "train": {"gamma": 1, "batch_size": 2, "optimization_times": 0,
+                  "normalize_lte": False},
+        "cem": {"sample_sigma": 1},
+    })
+    assert cfg.env.count is None and cfg.env.low == 1
+    assert cfg.train.gamma == 1 and cfg.train.batch_size == 2
+    assert cfg.train.optimization_times == 0 and cfg.cem.sample_sigma == 1
+    with pytest.raises(ConfigurationError, match="env must be a JSON object"):
+        parse_config({"env": ["vel1d"]})
