@@ -8,7 +8,7 @@ identical inputs give identical rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from . import envs
 from .embedding import interpolate, sphere_grid, sphere_grid_angles
 from .errors import ConfigurationError, DegenerateEmbedding
 from .rng import eval_generator
-from .sac import SacModel, evaluate_embeddings, evaluate_policy
+from .sac import SacModel, evaluate_embeddings
 
 
 @dataclass
@@ -168,6 +168,7 @@ class SweepRow:
     beta: float
     metric: float
     mean_return: float
+    extras: dict = field(default_factory=dict)
     skipped: bool = False
 
 
@@ -193,8 +194,8 @@ def interpolation_sweep(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
         evaluated = evaluate_embeddings(model, np.stack(list(blends.values())), task,
                                         episodes, eval_seed)
         reports = dict(zip(blends, evaluated))
-    return [SweepRow(beta, reports[k].metric, reports[k].mean_return) if k in reports
-            else SweepRow(beta, np.nan, np.nan, skipped=True)
+    return [SweepRow(beta, reports[k].metric, reports[k].mean_return, reports[k].extras)
+            if k in reports else SweepRow(beta, np.nan, np.nan, skipped=True)
             for k, beta in enumerate(betas)]
 
 
@@ -212,28 +213,21 @@ def search_beta(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
                 max_bisections: int = 40) -> BetaSearchResult:
     """Find a blend coefficient whose achieved metric hits a target.
 
-    Scans a 17-point grid over [0.1, 0.9] in ascending order, returning
-    the first hit within tol; otherwise bisects the first bracketing
-    interval. Not finding one is a regular outcome, not an error.
+    Scans a 17-point grid over [0.1, 0.9] in one batched sweep and returns
+    the first hit within tol in ascending order; otherwise bisects the
+    first bracketing interval one blend at a time. Not finding one is a
+    regular outcome, not an error; a degenerate blend reached before a hit
+    raises DegenerateEmbedding. evaluations counts the blends rolled out.
     """
-    normalized = getattr(model.policy, "normalize_lte", True)
-    evals = 0
-
-    def metric_at(beta: float) -> float:
-        nonlocal evals
-        z = interpolate(z_i, z_j, beta, normalized=normalized)
-        evals += 1
-        return evaluate_policy(model, z, task, episodes=episodes,
-                               eval_seed=eval_seed).metric
-
     grid = np.linspace(0.1, 0.9, 17)
-    values = []
-    for beta in grid:
-        m = metric_at(float(beta))
-        values.append(m)
-        if abs(m - target_metric) <= tol:
-            return BetaSearchResult(True, float(beta), m, evals)
-    values = np.array(values)
+    rows = interpolation_sweep(model, z_i, z_j, grid, task, eval_seed, episodes)
+    evals = sum(not r.skipped for r in rows)
+    for r in rows:
+        if r.skipped:
+            raise DegenerateEmbedding(f"blend at beta={r.beta} is the zero vector")
+        if abs(r.metric - target_metric) <= tol:
+            return BetaSearchResult(True, r.beta, r.metric, evals)
+    values = np.array([r.metric for r in rows])
     sign = np.sign(values - target_metric)
     lo = hi = None
     for a in range(len(grid) - 1):
@@ -245,43 +239,31 @@ def search_beta(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
         return BetaSearchResult(False, None, None, evals)
     for _ in range(max_bisections):
         mid = 0.5 * (lo + hi)
-        m = metric_at(float(mid))
-        if abs(m - target_metric) <= tol:
-            return BetaSearchResult(True, float(mid), m, evals)
-        if np.sign(m - target_metric) == np.sign(f_lo - target_metric):
+        [r] = interpolation_sweep(model, z_i, z_j, [mid], task, eval_seed, episodes)
+        if r.skipped:
+            raise DegenerateEmbedding(f"blend at beta={r.beta} is the zero vector")
+        evals += 1
+        if abs(r.metric - target_metric) <= tol:
+            return BetaSearchResult(True, r.beta, r.metric, evals)
+        if np.sign(r.metric - target_metric) == np.sign(f_lo - target_metric):
             lo = mid
-            f_lo = m
+            f_lo = r.metric
         else:
             hi = mid
     return BetaSearchResult(False, None, None, evals)
 
 
-@dataclass
-class ComposeResult:
-    beta: float
-    mean_abs_vx: float
-    mean_height: float
-    mean_return: float
-    skipped: bool = False
-
-
-def compose(model: SacModel, z_a: np.ndarray, z_b: np.ndarray, beta: float,
-            task: TaskSpec, eval_seed: int = 0, episodes: int = 1) -> ComposeResult:
-    """Evaluate a cross-modality blend, reporting both modality metrics.
+def compose(model: SacModel, z_a: np.ndarray, z_b: np.ndarray, betas,
+            task: TaskSpec, eval_seed: int = 0, episodes: int = 1) -> list[SweepRow]:
+    """Evaluate cross-modality blends; each row's extras carry both
+    modality metrics (mean_abs_vx and mean_height).
 
     The run/jump dynamics are task-independent, so the supplied task only
     sets the reward bookkeeping; horizontal speed and height are physical.
     """
     if task.family != envs.RUNJUMP:
         raise ConfigurationError("composition probes run on the run/jump family")
-    normalized = getattr(model.policy, "normalize_lte", True)
-    try:
-        z = interpolate(z_a, z_b, beta, normalized=normalized)
-    except DegenerateEmbedding:
-        return ComposeResult(float(beta), np.nan, np.nan, np.nan, skipped=True)
-    rep = evaluate_policy(model, z, task, episodes=episodes, eval_seed=eval_seed)
-    return ComposeResult(float(beta), rep.extras["mean_abs_vx"],
-                         rep.extras["mean_height"], rep.mean_return)
+    return interpolation_sweep(model, z_a, z_b, betas, task, eval_seed, episodes)
 
 
 def spearman(x, y) -> float:

@@ -31,7 +31,7 @@ from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_to_dict, load_config
 from .embedding import sphere_adjacency
 from .envs import DIR2D, RUNJUMP, VEL1D, TaskSpec
-from .errors import LatentMotorError
+from .errors import ConfigurationError, LatentMotorError
 from .nn import finite_difference_check, mlp_init
 from .sac import evaluate_policy, train_baseline, train_multitask
 
@@ -40,6 +40,15 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def parse_floats(text: str, flag: str) -> list[float]:
+    """The numbers of a comma-separated option value."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigurationError(f"{flag} must be comma-separated numbers, "
+                                 f"got {text!r}") from None
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -160,10 +169,10 @@ def cmd_adapt(args) -> int:
 
 def cmd_interp(args) -> int:
     cfg = _resolve(args)
+    betas = parse_floats(args.beta_list, "--beta-list") if args.beta_list \
+        else list(cfg.analysis.betas)
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
-    betas = [float(b) for b in args.beta_list.split(",")] if args.beta_list \
-        else list(cfg.analysis.betas)
     z_i = model.lte_for_task(args.task_i)
     z_j = model.lte_for_task(args.task_j)
     task = model.task(args.task_i)
@@ -178,6 +187,10 @@ def cmd_interp(args) -> int:
 
 
 def cmd_search_beta(args) -> int:
+    if not args.tol >= 0:  # also rejects nan
+        raise ConfigurationError(f"--tol must be >= 0, got {args.tol}")
+    if not np.isfinite(args.target):
+        raise ConfigurationError(f"--target must be finite, got {args.target}")
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
@@ -194,18 +207,18 @@ def cmd_search_beta(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    if args.beta_count < 1:
+        raise ConfigurationError(f"--beta-count must be >= 1, got {args.beta_count}")
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
-    z_a = model.lte_for_task(args.task_a)
-    z_b = model.lte_for_task(args.task_b)
-    betas = np.linspace(0.1, 0.9, args.beta_count)
-    task = model.task(args.task_a)
-    rows = [compose(model, z_a, z_b, float(b), task, eval_seed=cfg.seed,
-                    episodes=cfg.analysis.episodes) for b in betas]
+    rows = compose(model, model.lte_for_task(args.task_a), model.lte_for_task(args.task_b),
+                   np.linspace(0.1, 0.9, args.beta_count), model.task(args.task_a),
+                   eval_seed=cfg.seed, episodes=cfg.analysis.episodes)
     csv_path = os.path.join(out, "compose.csv")
     write_csv(csv_path, ["beta", "mean_abs_vx", "mean_height", "mean_return", "skipped"],
-              [[r.beta, r.mean_abs_vx, r.mean_height, r.mean_return, int(r.skipped)]
+              [[r.beta, r.extras.get("mean_abs_vx", np.nan),
+                r.extras.get("mean_height", np.nan), r.mean_return, int(r.skipped)]
                for r in rows])
     write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
     write_manifest(out, args, args.config, args.checkpoint)
@@ -276,12 +289,10 @@ def cmd_grad_check(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
+    lte = np.array(parse_floats(args.lte, "--lte")) if args.lte else None
     out = _prepare_out(cfg)
     model = load_checkpoint(args.checkpoint)
     task = model.task(args.task_index)
-    lte = None
-    if args.lte:
-        lte = np.array([float(v) for v in args.lte.split(",")])
     rep = evaluate_policy(model, lte, task, args.episodes, eval_seed=cfg.seed,
                           task_id=args.task_index)
     write_json(os.path.join(out, "eval.json"), {

@@ -49,7 +49,6 @@ class EnvSection:
 @dataclass
 class AnalysisSection:
     sphere_resolution: int = 12
-    pca_components: int = 2
     episodes: int = 1
     betas: list = field(default_factory=lambda: [round(b * 0.1, 1) for b in range(10, -1, -1)])
 
@@ -87,13 +86,21 @@ def _expected(default) -> tuple[tuple, str]:
     return (type(default),), f"a {type(default).__name__}"
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_field(f: dataclasses.Field, value, where: str) -> None:
     """Type-check one field against its default. Counts (the integer
-    fields other than seed) must be >= 0, and batch_size >= 2."""
+    fields other than seed) must be >= 0, batch_size >= 2, and lists hold
+    numbers."""
     default = f.default_factory() if f.default is dataclasses.MISSING else f.default
     types, name = _expected(default)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         raise ConfigurationError(f"{where}.{f.name} must be {name}, got {value!r}")
+    if isinstance(value, list) and not all(_is_number(v) for v in value):
+        raise ConfigurationError(f"{where}.{f.name} must be a list of numbers, "
+                                 f"got {value!r}")
     count = (default is None or type(default) is int) and f.name != "seed"
     minimum = 2 if f.name == "batch_size" else 0
     if count and value is not None and value < minimum:
@@ -119,7 +126,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - top
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         seed=int(doc.get("seed", 0)),
         out_dir=str(doc.get("out_dir", "runs/latest")),
         env=_build(EnvSection, doc.get("env", {}), "env"),
@@ -127,6 +134,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         cem=_build(CemConfig, doc.get("cem", {}), "cem"),
         analysis=_build(AnalysisSection, doc.get("analysis", {}), "analysis"),
     )
+    # The top-level seed drives every section (see resolved); a section
+    # seed may only repeat it, as the config.json written by train does.
+    for name in ("train", "cem"):
+        section_seed = getattr(cfg, name).seed
+        if "seed" in doc.get(name, {}) and section_seed != cfg.seed:
+            raise ConfigurationError(f"{name}.seed {section_seed} differs from the top-level "
+                                     f"seed {cfg.seed}; set the seed at the top level")
+    return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:

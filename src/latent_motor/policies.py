@@ -7,9 +7,11 @@ All three expose the same training surface:
   param_arrays()                                        -> list for Adam
   action_eval(obs, task_ids=..., lte_rows=...)          -> deterministic actions
 
-The shared-interface policy encodes the observation to a sensory
-embedding, looks up (or is handed) a unit-norm task embedding, optionally
-perturbs it, and decodes the concatenation into a squashed Gaussian. Its
+The baselines act on task_ids. The shared-interface policy encodes the
+observation to a sensory embedding, looks up a unit-norm task embedding
+by task_id in training (in evaluation it is handed embedding rows,
+lte_rows), optionally perturbs it, and decodes the concatenation into a
+squashed Gaussian. Its
 backward pass chains through the sampler, the decoder, the encoder, and
 the two sphere projections back to the task-encoder weights; only this
 path carries gradient to the embeddings.
@@ -48,7 +50,6 @@ class EarCache:
     lte: np.ndarray           # projected embedding
     noisy_pre: np.ndarray     # lte + noise, before re-projection
     noisy_lte: np.ndarray     # what the decoder consumed
-    external_lte: bool        # True when the embedding was caller-supplied
 
 
 class EarPolicy:
@@ -84,17 +85,10 @@ class EarPolicy:
         return raw, lte
 
     def forward_train(self, obs: np.ndarray, task_ids: np.ndarray,
-                      lte_noise: np.ndarray | None, sample_noise: np.ndarray,
-                      lte_rows: np.ndarray | None = None):
-        """lte_noise None means a clean embedding; lte_rows overrides the
-        task encoder entirely (evaluation interface; no encoder gradient)."""
+                      lte_noise: np.ndarray | None, sample_noise: np.ndarray):
+        """lte_noise None means a clean embedding."""
         lse, enc_cache = mlp_forward(self.encoder, obs)
-        if lte_rows is not None:
-            raw = lte = np.asarray(lte_rows, dtype=np.float64)
-            external = True
-        else:
-            raw, lte = self._embed(np.asarray(task_ids))
-            external = False
+        raw, lte = self._embed(np.asarray(task_ids))
         if lte_noise is not None:
             pre = lte + lte_noise
             noisy = normalize_rows(pre) if self.normalize_lte else pre
@@ -106,7 +100,7 @@ class EarPolicy:
         out = gaussian_head(head_raw)
         action, log_prob, samp_cache = sample_squashed(out, sample_noise)
         cache = EarCache(enc_cache, dec_cache, samp_cache,
-                         np.asarray(task_ids), raw, lte, pre, noisy, external)
+                         np.asarray(task_ids), raw, lte, pre, noisy)
         return action, log_prob, cache
 
     def backward_train(self, cache: EarCache, d_action: np.ndarray,
@@ -118,17 +112,16 @@ class EarPolicy:
         enc_grads, _ = mlp_backward(self.encoder, cache.enc_cache, d_lse)
         te_w = np.zeros_like(self.task_encoder.weight)
         te_b = np.zeros_like(self.task_encoder.bias)
-        if not cache.external_lte:
-            if self.normalize_lte and cache.noisy_lte is not cache.lte:
-                d_lte = normalize_backward(cache.noisy_pre, cache.noisy_lte, d_noisy)
-            else:
-                d_lte = d_noisy
-            if self.normalize_lte:
-                d_raw = normalize_backward(cache.raw_lte, cache.lte, d_lte)
-            else:
-                d_raw = d_lte
-            np.add.at(te_w.T, cache.task_ids, d_raw)
-            te_b += d_raw.sum(axis=0)
+        if self.normalize_lte and cache.noisy_lte is not cache.lte:
+            d_lte = normalize_backward(cache.noisy_pre, cache.noisy_lte, d_noisy)
+        else:
+            d_lte = d_noisy
+        if self.normalize_lte:
+            d_raw = normalize_backward(cache.raw_lte, cache.lte, d_lte)
+        else:
+            d_raw = d_lte
+        np.add.at(te_w.T, cache.task_ids, d_raw)
+        te_b += d_raw.sum(axis=0)
         return enc_grads.param_arrays() + dec_grads.param_arrays() + [te_w, te_b]
 
     def encode_obs(self, obs: np.ndarray) -> np.ndarray:
@@ -136,11 +129,11 @@ class EarPolicy:
 
     def action_eval(self, obs: np.ndarray, task_ids: np.ndarray | None = None,
                     lte_rows: np.ndarray | None = None) -> np.ndarray:
-        lse = self.encode_obs(obs)
+        """Deterministic actions for one embedding row per observation;
+        task_ids, the baselines' conditioning, is not used here."""
         if lte_rows is None:
-            if task_ids is None:
-                raise ConfigurationError("need task_ids or lte_rows")
-            _, lte_rows = self._embed(np.asarray(task_ids))
+            raise ConfigurationError("the shared-interface policy acts on lte_rows")
+        lse = self.encode_obs(obs)
         head_raw, _ = mlp_forward(self.decoder, np.concatenate([lse, lte_rows], axis=1))
         out = gaussian_head(head_raw)
         return np.tanh(out.mean)
@@ -170,7 +163,7 @@ class OhePolicy:
         onehot = np.eye(self.n_tasks)[np.asarray(task_ids)]
         return np.concatenate([obs, onehot], axis=1)
 
-    def forward_train(self, obs, task_ids, lte_noise, sample_noise, lte_rows=None):
+    def forward_train(self, obs, task_ids, lte_noise, sample_noise):
         head_raw, net_cache = mlp_forward(self.net, self._input(obs, task_ids))
         out = gaussian_head(head_raw)
         action, log_prob, samp_cache = sample_squashed(out, sample_noise)
@@ -215,7 +208,7 @@ class MhmtPolicy:
         z = np.einsum("boi,bi->bo", self.head_w[ids], obs) + self.head_b[ids]
         return np.tanh(z)
 
-    def forward_train(self, obs, task_ids, lte_noise, sample_noise, lte_rows=None):
+    def forward_train(self, obs, task_ids, lte_noise, sample_noise):
         h = self._head(obs, task_ids)
         head_raw, trunk_cache = mlp_forward(self.trunk, h)
         out = gaussian_head(head_raw)

@@ -333,7 +333,7 @@ def evaluate_policy(model: SacModel, lte: np.ndarray | None, task: TaskSpec,
 
     For the shared-interface policy any embedding is accepted, trained or
     not; this is the high-level control interface. Baselines evaluate by
-    task_id instead. Same seed and embedding give an identical report, and
+    task_id instead and take no embedding. Same seed and embedding give an identical report, and
     the model is left untouched (evaluation draws no mutable stream).
     """
     if model.kind == "ear":
@@ -343,6 +343,8 @@ def evaluate_policy(model: SacModel, lte: np.ndarray | None, task: TaskSpec,
             lte = model.lte_for_task(task_id)
         return evaluate_embeddings(model, np.asarray(lte)[None, :], task,
                                    episodes, eval_seed)[0]
+    if lte is not None:
+        raise ConfigurationError(f"a {model.kind} policy takes no task embedding")
     if task_id is None:
         raise ConfigurationError("baseline evaluation needs task_id")
     return _rollout(model, task, 1, episodes, eval_seed, ids=np.full(episodes, task_id))[0]
@@ -362,6 +364,8 @@ def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
     if Z.ndim != 2 or len(Z) == 0 or Z.shape[1] != model.config.lte_dim:
         raise ConfigurationError(f"embeddings must form an (N >= 1, "
                                  f"{model.config.lte_dim}) matrix, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise ConfigurationError("embeddings must be finite")
     return _rollout(model, task, len(Z), episodes, eval_seed,
                     lte_rows=np.repeat(Z, episodes, axis=0))
 
@@ -419,15 +423,8 @@ def _record(family: str, rec: dict, t: int, vec: VecRollout) -> None:
 
 
 def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalReport]:
-    reports = []
-    for i, task in enumerate(model.tasks):
-        if model.kind == "ear":
-            reports.append(evaluate_policy(model, model.lte_for_task(i), task,
-                                           episodes, eval_seed))
-        else:
-            reports.append(evaluate_policy(model, None, task, episodes, eval_seed,
-                                           task_id=i))
-    return reports
+    return [evaluate_policy(model, None, task, episodes, eval_seed, task_id=i)
+            for i, task in enumerate(model.tasks)]
 
 
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",

@@ -242,16 +242,16 @@ def test_c09_composition(runjump_model):
                                 eval_seed=EVAL_SEED).extras["mean_height"]
     best = None
     ok = False
-    for beta in np.linspace(0.1, 0.9, 9):
-        res = compose(model, z_run, z_jump, float(beta), model.tasks[run_id],
-                      eval_seed=EVAL_SEED)
-        if res.skipped:
+    for row in compose(model, z_run, z_jump, np.linspace(0.1, 0.9, 9), model.tasks[run_id],
+                       eval_seed=EVAL_SEED):
+        if row.skipped:
             continue
-        if best is None or res.mean_height + res.mean_abs_vx > best[1] + best[2]:
-            best = (beta, res.mean_height, res.mean_abs_vx)
-        if res.mean_abs_vx >= 0.5 * pure_run and res.mean_height >= 0.5 * pure_jump:
+        beta, height, abs_vx = row.beta, row.extras["mean_height"], row.extras["mean_abs_vx"]
+        if best is None or height + abs_vx > best[1] + best[2]:
+            best = (beta, height, abs_vx)
+        if abs_vx >= 0.5 * pure_run and height >= 0.5 * pure_jump:
             ok = True
-            best = (beta, res.mean_height, res.mean_abs_vx)
+            best = (beta, height, abs_vx)
             break
     verdict(9, "run+jump composition", ok and pure_jump > 0.5,
             f"pure |vx| {pure_run:.2f}, pure height {pure_jump:.2f}, "

@@ -1,5 +1,7 @@
 """Analysis tests: PCA, periodicity, sweeps, beta search, composition."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,12 @@ from latent_motor.analysis import (
     pca,
     pca_reconstruct,
     periodicity_score,
+    search_beta,
     spearman,
 )
 from latent_motor.embedding import sphere_adjacency
 from latent_motor.envs import make_task_set
-from latent_motor.errors import ConfigurationError
+from latent_motor.errors import ConfigurationError, DegenerateEmbedding
 from latent_motor.sac import SacModel, TrainConfig, evaluate_policy
 
 
@@ -163,114 +166,148 @@ def test_sweep_records_degenerate_rows_as_skipped():
 
 # --- beta search ---
 
-def synthetic_search(target, tol, metric_fn):
-    """Drive search_beta's control flow against a fake model by monkeypatching
-    evaluate via a tiny linear-metric model stand-in."""
+# Two orthogonal unit embeddings: the blend at beta is proportional to
+# (beta, 1 - beta, 0), so the fake evaluator below reads beta back off it.
+E0, E1 = np.eye(3)[0], np.eye(3)[1]
+
+
+def fake_batched_evaluator(monkeypatch, metric_of_beta):
+    """Replace the batched evaluator behind interpolation_sweep with a
+    synthetic metric of the blend coefficient; returns the list of batch
+    sizes it was called with."""
+    import latent_motor.analysis as an
+    sizes = []
+
+    def fake(model, Z, task, episodes=1, eval_seed=0):
+        sizes.append(len(Z))
+        return [SimpleNamespace(metric=metric_of_beta(z[0] / (z[0] + z[1])),
+                                mean_return=0.0, extras={}) for z in Z]
+    monkeypatch.setattr(an, "evaluate_embeddings", fake)
+    return sizes
 
 
 def test_search_beta_monotone_synthetic(monkeypatch):
     m = tiny_model()
-    import latent_motor.analysis as an
     # synthetic metric: linear in beta, from 2.0 (beta=0) to 1.0 (beta=1)
-    def fake_eval(model, z, task, episodes=1, eval_seed=0, task_id=None):
-        beta = fake_eval.current
-        class R:
-            metric = 2.0 - beta
-        return R
-    calls = []
-    real_interp = an.interpolate
-    def tracking_interp(z_i, z_j, beta, normalized=True):
-        fake_eval.current = beta
-        return real_interp(z_i, z_j, beta, normalized=normalized)
-    monkeypatch.setattr(an, "interpolate", tracking_interp)
-    monkeypatch.setattr(an, "evaluate_policy", fake_eval)
-    res = an.search_beta(m, m.lte_for_task(0), m.lte_for_task(1), 1.5, 0.01, m.tasks[0])
+    sizes = fake_batched_evaluator(monkeypatch, lambda beta: 2.0 - beta)
+    res = search_beta(m, E0, E1, 1.5, 0.01, m.tasks[0])
     assert res.found
     assert res.achieved == pytest.approx(1.5, abs=0.01)
     assert 0.1 <= res.beta <= 0.9
+    # the grid point 0.5 hits: one 17-row sweep, every grid blend counted
+    assert sizes == [17] and res.evaluations == 17
 
 
 def test_search_beta_no_crossing_not_found(monkeypatch):
     m = tiny_model()
-    import latent_motor.analysis as an
-    def fake_eval(model, z, task, episodes=1, eval_seed=0, task_id=None):
-        class R:
-            metric = 0.0
-        return R
-    monkeypatch.setattr(an, "evaluate_policy", fake_eval)
-    res = an.search_beta(m, m.lte_for_task(0), m.lte_for_task(1), 5.0, 0.1, m.tasks[0])
+    sizes = fake_batched_evaluator(monkeypatch, lambda beta: 0.0)
+    res = search_beta(m, E0, E1, 5.0, 0.1, m.tasks[0])
     assert not res.found
     assert res.beta is None
+    assert sizes == [17] and res.evaluations == 17
 
 
 def test_search_beta_boundary_target(monkeypatch):
     m = tiny_model()
-    import latent_motor.analysis as an
-    def fake_eval(model, z, task, episodes=1, eval_seed=0, task_id=None):
-        beta = fake_eval.current
-        class R:
-            metric = 2.0 - beta
-        return R
-    real_interp = an.interpolate
-    def tracking_interp(z_i, z_j, beta, normalized=True):
-        fake_eval.current = beta
-        return real_interp(z_i, z_j, beta, normalized=normalized)
-    monkeypatch.setattr(an, "interpolate", tracking_interp)
-    monkeypatch.setattr(an, "evaluate_policy", fake_eval)
+    fake_batched_evaluator(monkeypatch, lambda beta: 2.0 - beta)
     # target equals the beta=0.9-end metric: first grid hit happens late
-    res = an.search_beta(m, m.lte_for_task(0), m.lte_for_task(1), 2.0 - 0.9, 0.01, m.tasks[0])
+    res = search_beta(m, E0, E1, 2.0 - 0.9, 0.01, m.tasks[0])
     assert res.found and res.beta == pytest.approx(0.9, abs=0.01)
 
 
 def test_search_beta_result_revalidates(monkeypatch):
     m = tiny_model()
-    import latent_motor.analysis as an
-    def fake_eval(model, z, task, episodes=1, eval_seed=0, task_id=None):
-        beta = fake_eval.current
-        class R:
-            metric = 1.0 + beta ** 2
-        return R
-    real_interp = an.interpolate
-    def tracking_interp(z_i, z_j, beta, normalized=True):
-        fake_eval.current = beta
-        return real_interp(z_i, z_j, beta, normalized=normalized)
-    monkeypatch.setattr(an, "interpolate", tracking_interp)
-    monkeypatch.setattr(an, "evaluate_policy", fake_eval)
-    res = an.search_beta(m, m.lte_for_task(0), m.lte_for_task(1), 1.3, 0.05, m.tasks[0])
+    fake_batched_evaluator(monkeypatch, lambda beta: 1.0 + beta ** 2)
+    res = search_beta(m, E0, E1, 1.3, 0.05, m.tasks[0])
     assert res.found
     assert abs((1.0 + res.beta ** 2) - 1.3) <= 0.05
 
 
+def test_search_beta_bisects_one_blend_at_a_time(monkeypatch):
+    m = tiny_model()
+    # no grid point is within 1e-4 of 1.3; bisection of [0.5, 0.55] finds it
+    sizes = fake_batched_evaluator(monkeypatch, lambda beta: 1.0 + beta ** 2)
+    res = search_beta(m, E0, E1, 1.3, 1e-4, m.tasks[0])
+    assert res.found and abs((1.0 + res.beta ** 2) - 1.3) <= 1e-4
+    assert sizes[0] == 17 and len(sizes) > 1 and set(sizes[1:]) == {1}
+    assert res.evaluations == 17 + len(sizes) - 1
+
+
+def test_search_beta_degenerate_blend_before_hit_raises(monkeypatch):
+    m = tiny_model()
+    fake_batched_evaluator(monkeypatch, lambda beta: 0.0)
+    # z and -z blend to the zero vector at beta = 0.5, the 9th grid point
+    with pytest.raises(DegenerateEmbedding):
+        search_beta(m, E0, -E0, 5.0, 0.1, m.tasks[0])
+    # a hit before the degenerate point returns; the skipped blend is not counted
+    res = search_beta(m, E0, -E0, 0.0, 0.1, m.tasks[0])
+    assert res.found and res.beta == pytest.approx(0.1) and res.evaluations == 16
+
+
 # --- composition ---
+
+COMPOSE_BETAS = np.linspace(0.1, 0.9, 9)
+
 
 def test_compose_runs_and_reports_both_metrics():
     m = tiny_model("runjump", count=None)
-    res = compose(m, m.lte_for_task(0), m.lte_for_task(4), 0.5, m.tasks[0], eval_seed=1)
-    assert np.isfinite(res.mean_abs_vx)
-    assert np.isfinite(res.mean_height)
-    assert res.mean_height >= 0.0
+    rows = compose(m, m.lte_for_task(0), m.lte_for_task(4), [0.5], m.tasks[0], eval_seed=1)
+    assert len(rows) == 1 and not rows[0].skipped
+    assert np.isfinite(rows[0].extras["mean_abs_vx"])
+    assert np.isfinite(rows[0].extras["mean_height"])
+    assert rows[0].extras["mean_height"] >= 0.0
 
 
 def test_compose_pure_endpoint_matches_eval():
     m = tiny_model("runjump", count=None)
     z_a = m.lte_for_task(0)
-    res = compose(m, z_a, m.lte_for_task(4), 1.0, m.tasks[0], eval_seed=3)
+    rows = compose(m, z_a, m.lte_for_task(4), COMPOSE_BETAS.tolist() + [1.0], m.tasks[0],
+                   eval_seed=3)
     rep = evaluate_policy(m, z_a, m.tasks[0], episodes=1, eval_seed=3)
-    assert res.mean_abs_vx == pytest.approx(rep.extras["mean_abs_vx"], rel=1e-9)
-    assert res.mean_height == pytest.approx(rep.extras["mean_height"], abs=1e-9)
+    assert [r.beta for r in rows] == COMPOSE_BETAS.tolist() + [1.0]
+    # batched rows round differently from a one-row rollout in the last bits
+    assert rows[-1].extras["mean_abs_vx"] == pytest.approx(rep.extras["mean_abs_vx"],
+                                                           rel=1e-9)
+    assert rows[-1].extras["mean_height"] == pytest.approx(rep.extras["mean_height"],
+                                                           abs=1e-9)
 
 
 def test_compose_antipodal_recorded_skipped():
     m = tiny_model("runjump", count=None)
     z = m.lte_for_task(0)
-    res = compose(m, z, -z, 0.5, m.tasks[0])
-    assert res.skipped
+    rows = compose(m, z, -z, [0.25, 0.5], m.tasks[0])
+    assert not rows[0].skipped and rows[1].skipped
+    assert rows[1].extras == {} and np.isnan(rows[1].mean_return)
 
 
 def test_compose_rejects_wrong_family():
     m = tiny_model("vel1d")
     with pytest.raises(ConfigurationError):
-        compose(m, m.lte_for_task(0), m.lte_for_task(1), 0.5, m.tasks[0])
+        compose(m, m.lte_for_task(0), m.lte_for_task(1), [0.5], m.tasks[0])
+
+
+# --- one batched rollout per blend set ---
+
+def test_blends_roll_out_in_one_batch(monkeypatch):
+    import latent_motor.sac as sac
+    built = []
+
+    class CountingRollout(sac.VecRollout):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(sac, "VecRollout", CountingRollout)
+    rj = tiny_model("runjump", count=None)
+    rows = compose(rj, rj.lte_for_task(0), rj.lte_for_task(4), COMPOSE_BETAS, rj.tasks[0])
+    assert len(rows) == 9 and len(built) == 1
+    m = tiny_model()
+    z_i, z_j = m.lte_for_task(0), m.lte_for_task(1)
+    res = search_beta(m, z_i, z_j, 1e6, 0.1, m.tasks[0])
+    assert not res.found and res.evaluations == 17 and len(built) == 2
+    interpolation_sweep(m, z_i, z_j, np.linspace(1.0, 0.0, 11), m.tasks[0])
+    assert len(built) == 3
+    evaluate_sphere(m, m.tasks[0], 3)
+    assert len(built) == 4
 
 
 # --- spearman ---

@@ -64,6 +64,8 @@ def test_config_unknown_top_level_key():
 def test_config_unknown_section_key():
     with pytest.raises(ConfigurationError, match="unknown keys in train"):
         parse_config({"train": {"bacth_size": 4}})
+    with pytest.raises(ConfigurationError, match="unknown keys in analysis"):
+        parse_config({"analysis": {"pca_components": 2}})
 
 
 def test_config_bad_family():
@@ -76,6 +78,14 @@ def test_config_file_not_json(tmp_path):
     p.write_text("{nope")
     with pytest.raises(ConfigurationError):
         load_config(str(p))
+
+
+def test_config_section_seed_must_repeat_top_level_seed():
+    for doc in ({"train": {"seed": 5}}, {"seed": 2, "cem": {"seed": 9}}):
+        with pytest.raises(ConfigurationError, match="differs from the top-level seed"):
+            parse_config(doc)
+    cfg = parse_config({"seed": 4, "train": {"seed": 4}, "cem": {"seed": 4}})
+    assert cfg.resolved().train.seed == 4 and cfg.resolved().cem.seed == 4
 
 
 def test_config_seed_resolution(tmp_path):
@@ -232,6 +242,16 @@ def test_eval_json(trained, tmp_path):
     assert len(rep["episode_returns"]) == 2
 
 
+def test_written_config_loads_back_as_config(trained, tmp_path):
+    cfg, ckpt, tmp = trained
+    written = str(tmp / "run" / "config.json")  # repeats the seed in every section
+    doc = json.load(open(written))
+    assert doc["seed"] == doc["train"]["seed"] == doc["cem"]["seed"] == 3
+    assert load_config(written).resolved().train.seed == 3
+    assert main(["eval", "--config", written, "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "e"), "--episodes", "1"]) == 0
+
+
 def test_csv_outputs_stable_under_rerun(trained, tmp_path):
     cfg, ckpt, _ = trained
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -280,6 +300,36 @@ def test_negative_task_index_exits_1(trained, tmp_path, capsys):
         assert main(argv + common) == 1, argv
         assert_one_error_line(capsys, "task index -")
     assert not os.path.exists(str(tmp_path / "x" / "sweep.csv"))
+
+
+def test_malformed_numbers_exit_1(trained, tmp_path, capsys):
+    cfg, ckpt, _ = trained  # a 2-task ear checkpoint with 3-d embeddings
+    common = ["--config", cfg, "--checkpoint", ckpt, "--out", str(tmp_path / "x")]
+    pair = ["--task-i", "0", "--task-j", "1"]
+    for argv, fragment in (
+            (["eval", "--lte", "a,b,c"], "--lte must be comma-separated numbers"),
+            (["interp", *pair, "--beta-list", "0.5,x"], "--beta-list must be"),
+            (["compose", "--task-a", "0", "--task-b", "1", "--beta-count", "-1"],
+             "--beta-count must be >= 1"),
+            (["compose", "--task-a", "0", "--task-b", "1", "--beta-count", "0"],
+             "--beta-count must be >= 1"),
+            (["eval", "--lte", "nan,1,0"], "embeddings must be finite"),
+            (["search-beta", *pair, "--target", "1.0", "--tol", "-1"], "--tol must be >= 0"),
+            (["search-beta", *pair, "--target", "nan"], "--target must be finite")):
+        assert main(argv + common) == 1, argv
+        assert_one_error_line(capsys, fragment)
+    for name in ("eval.json", "sweep.csv", "compose.csv", "search_beta.json"):
+        assert not os.path.exists(str(tmp_path / "x" / name)), name
+
+
+def test_eval_lte_on_baseline_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, out_dir=str(tmp_path / "ohe"))
+    assert main(["train-baseline", "--kind", "ohe", "--config", cfg]) == 0
+    ckpt, out = str(tmp_path / "ohe" / "model.ckpt.json"), str(tmp_path / "e")
+    assert main(["eval", "--config", cfg, "--checkpoint", ckpt, "--out", out,
+                 "--task-index", "1", "--lte", "1,0,0"]) == 1
+    assert_one_error_line(capsys, "ohe policy takes no task embedding")
+    assert not os.path.exists(os.path.join(out, "eval.json"))
 
 
 def test_unknown_subcommand_exits_2():

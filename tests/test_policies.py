@@ -60,18 +60,6 @@ def test_baseline_policy_gradients(kind):
     assert fd_worst(pol, obs, ids, None, samp, ca, cl) < 1e-4
 
 
-def test_external_embedding_gets_no_encoder_gradient():
-    rng = np.random.default_rng(2)
-    pol = EarPolicy(2, 1, 2, rng, lse_dim=3, lte_dim=3, width=4)
-    obs = rng.normal(size=(3, 2))
-    samp = rng.normal(size=(3, 1))
-    rows = np.tile(np.array([0.0, 0.0, 1.0]), (3, 1))
-    _, _, cache = pol.forward_train(obs, None, None, samp, lte_rows=rows)
-    grads = pol.backward_train(cache, rng.normal(size=(3, 1)), rng.normal(size=3))
-    te_w, te_b = grads[-2], grads[-1]
-    assert np.all(te_w == 0.0) and np.all(te_b == 0.0)
-
-
 def test_build_policy_unknown_kind():
     with pytest.raises(ConfigurationError):
         build_policy("rnn", 2, 2, 3, np.random.default_rng(0))

@@ -140,12 +140,15 @@ def test_mhmt_head_blocks():
 def test_action_eval_deterministic_repeatable():
     m = tiny_model()
     obs = np.array([[0.3]])
-    a1 = m.policy.action_eval(obs, task_ids=np.array([1]))
-    a2 = m.policy.action_eval(obs, task_ids=np.array([1]))
+    a1 = m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None, :])
+    a2 = m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None, :])
     assert np.array_equal(a1, a2)
-    # the deterministic action is the clean, zero-noise training sample
+    # the deterministic action on task 1's embedding is the clean,
+    # zero-noise training sample of task 1
     a3, _, _ = m.policy.forward_train(obs, np.array([1]), None, np.zeros((1, 1)))
     assert np.array_equal(a1, a3)
+    with pytest.raises(ConfigurationError):  # acts on embedding rows, not task ids
+        m.policy.action_eval(obs, task_ids=np.array([1]))
 
 
 def test_forward_train_same_noise_same_action():
@@ -455,11 +458,19 @@ def test_evaluate_embeddings_leaves_model_untouched():
 
 def test_evaluate_embeddings_rejects_bad_input():
     m = tiny_model()
-    for Z in (np.zeros((0, 3)), np.ones(3), np.ones((2, 4))):
+    for Z in (np.zeros((0, 3)), np.ones(3), np.ones((2, 4)), [[np.nan, 1.0, 0.0]],
+              [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]):
         with pytest.raises(ConfigurationError):
             evaluate_embeddings(m, Z, m.tasks[0])
     with pytest.raises(ConfigurationError):
         evaluate_embeddings(tiny_model(kind="ohe"), probe_embeddings(2), m.tasks[0])
+
+
+def test_baseline_evaluation_rejects_an_embedding():
+    for kind in ("ohe", "mhmt"):
+        b = tiny_model(kind=kind)
+        with pytest.raises(ConfigurationError, match="takes no task embedding"):
+            evaluate_policy(b, np.array([1.0, 0.0, 0.0]), b.tasks[0], task_id=0)
 
 
 def test_full_run_determinism_bitwise():

@@ -81,6 +81,9 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("cem", "sample_sigma", None, "cem.sample_sigma must be a number"),
     ("analysis", "sphere_resolution", "12", "analysis.sphere_resolution must be an integer"),
     ("analysis", "betas", "0.5", "analysis.betas must be a list"),
+    ("env", "jump_weights", ["a", "b"], "env.jump_weights must be a list of numbers"),
+    ("analysis", "betas", ["a"], "analysis.betas must be a list of numbers"),
+    ("analysis", "betas", [0.5, True], "analysis.betas must be a list of numbers"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
