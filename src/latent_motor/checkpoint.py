@@ -1,15 +1,19 @@
 """Versioned checkpoint serialization.
 
-Checkpoints are canonical JSON (sorted keys, compact separators, one
-trailing newline) with every float64 written as a decimal literal.
-Python's repr/float round trip is exact for finite doubles, so
-load(save(model)) reproduces the model bit for bit and re-saving yields
-byte-identical files. Loading re-validates structural invariants before
-handing the model back.
+A checkpoint is canonical JSON (sorted keys, compact separators, one
+trailing newline, no NaN or Infinity). Every float array is one object
+{"shape": [...], "f8": "<base64 of its little-endian float64 bytes in C
+order>"}; scalars, configs, task specs and the RNG state stay plain JSON.
+The raw bytes make load(save(model)) bit-identical and re-saving
+byte-identical, and parsing a few base64 strings is far cheaper than
+parsing every element as a decimal. Loading decodes each array into the
+freshly built model through one helper that checks its shape and that
+every entry is finite, then re-validates the embedding invariants.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 
@@ -21,93 +25,95 @@ from .nn import AdamState, Mlp
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_ADAM_STATES = ("policy", "q1", "q2", "alpha")  # SacModel.opt_<name>
 
 
-def _arr(a: np.ndarray):
-    return np.asarray(a, dtype=np.float64).tolist()
+def _encode(a: np.ndarray) -> dict:
+    # no ascontiguousarray: it would turn the 0-d temperature moments 1-d
+    a = np.asarray(a, dtype="<f8")
+    if not np.all(np.isfinite(a)):
+        raise CheckpointError(f"refusing to serialize non-finite array of shape {list(a.shape)}")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _mlp_payload(mlp: Mlp) -> dict:
-    return {
-        "dims": mlp.dims(),
-        "weights": [_arr(w) for w in mlp.weights],
-        "biases": [_arr(b) for b in mlp.biases],
-    }
+def _decode(payload, dst: np.ndarray, name: str) -> None:
+    """Copy an encoded array into dst after checking its shape and values."""
+    try:
+        raw = base64.b64decode(payload["f8"], validate=True)
+        src = np.frombuffer(raw, dtype="<f8").reshape(payload["shape"])
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise CheckpointError(f"malformed array {name}: {exc}") from exc
+    if src.shape != dst.shape:
+        raise CheckpointError(f"{name} has shape {list(src.shape)}, expected {list(dst.shape)}")
+    if not np.all(np.isfinite(src)):
+        raise CheckpointError(f"{name} has non-finite entries")
+    np.copyto(dst, src)
 
 
-def _mlp_restore(mlp: Mlp, payload: dict) -> None:
-    if payload["dims"] != mlp.dims():
-        raise CheckpointError(
-            f"network dims {payload['dims']} do not match expected {mlp.dims()}")
-    for w, data in zip(mlp.weights, payload["weights"]):
-        np.copyto(w, np.asarray(data, dtype=np.float64))
-    for b, data in zip(mlp.biases, payload["biases"]):
-        np.copyto(b, np.asarray(data, dtype=np.float64))
+def _networks(model: SacModel) -> dict:
+    """The model's networks and policy arrays, nested as the checkpoint stores them."""
+    p = model.policy
+    if model.kind == "ear":
+        policy = {"encoder": p.encoder, "decoder": p.decoder,
+                  "task_encoder": {"weight": p.task_encoder.weight, "bias": p.task_encoder.bias}}
+    elif model.kind == "ohe":
+        policy = {"net": p.net}
+    else:
+        policy = {"head_w": p.head_w, "head_b": p.head_b, "trunk": p.trunk}
+    return {"policy": policy, "q1": model.q1, "q2": model.q2,
+            "q1_target": model.q1_target, "q2_target": model.q2_target}
+
+
+def _store(part):
+    """Encode an array, or a list, dict or Mlp of them."""
+    if isinstance(part, Mlp):
+        return {"dims": part.dims(), "weights": _store(part.weights),
+                "biases": _store(part.biases)}
+    if isinstance(part, dict):
+        return {key: _store(sub) for key, sub in part.items()}
+    if isinstance(part, list):
+        return [_store(a) for a in part]
+    return _encode(part)
+
+
+def _restore(part, payload, name: str) -> None:
+    """Decode payload into the arrays of part, which _store encoded."""
+    if isinstance(part, Mlp):
+        if payload["dims"] != part.dims():
+            raise CheckpointError(
+                f"{name} dims {payload['dims']} do not match expected {part.dims()}")
+        _restore(part.weights, payload["weights"], f"{name}.weights")
+        _restore(part.biases, payload["biases"], f"{name}.biases")
+    elif isinstance(part, dict):
+        for key, sub in part.items():
+            _restore(sub, payload[key], f"{name}.{key}")
+    elif isinstance(part, list):
+        if not isinstance(payload, list) or len(payload) != len(part):
+            raise CheckpointError(f"{name} must hold {len(part)} arrays")
+        for k, (sub, data) in enumerate(zip(part, payload)):
+            _restore(sub, data, f"{name}[{k}]")
+    else:
+        _decode(payload, part, name)
 
 
 def _adam_payload(st: AdamState) -> dict:
     return {
-        "m": [_arr(a) for a in st.m],
-        "v": [_arr(a) for a in st.v],
-        "step": st.step,
+        "m": _store(st.m), "v": _store(st.v), "step": st.step,
         "lr": st.lr, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
     }
 
 
-def _adam_restore(st: AdamState, payload: dict) -> None:
-    if len(payload["m"]) != len(st.m):
-        raise CheckpointError("optimizer state length mismatch")
-    for dst, data in zip(st.m, payload["m"]):
-        src = np.asarray(data, dtype=np.float64)
-        if src.shape != dst.shape:
-            raise CheckpointError("optimizer moment shape mismatch")
-        np.copyto(dst, src)
-    for dst, data in zip(st.v, payload["v"]):
-        src = np.asarray(data, dtype=np.float64)
-        if np.any(src < 0):
-            raise CheckpointError("second moments must be non-negative")
-        np.copyto(dst, src)
+def _adam_restore(st: AdamState, payload: dict, name: str) -> None:
+    _restore(st.m, payload["m"], f"{name}.m")
+    _restore(st.v, payload["v"], f"{name}.v")
+    if any(np.any(v < 0) for v in st.v):
+        raise CheckpointError(f"{name}: second moments must be non-negative")
     st.step = int(payload["step"])
     st.lr = float(payload["lr"])
     st.beta1 = float(payload["beta1"])
     st.beta2 = float(payload["beta2"])
     st.eps = float(payload["eps"])
-
-
-def _policy_payload(model: SacModel) -> dict:
-    p = model.policy
-    if model.kind == "ear":
-        return {
-            "encoder": _mlp_payload(p.encoder),
-            "decoder": _mlp_payload(p.decoder),
-            "task_encoder": {"weight": _arr(p.task_encoder.weight),
-                             "bias": _arr(p.task_encoder.bias)},
-        }
-    if model.kind == "ohe":
-        return {"net": _mlp_payload(p.net)}
-    return {
-        "head_w": _arr(p.head_w),
-        "head_b": _arr(p.head_b),
-        "trunk": _mlp_payload(p.trunk),
-    }
-
-
-def _policy_restore(model: SacModel, payload: dict) -> None:
-    p = model.policy
-    if model.kind == "ear":
-        _mlp_restore(p.encoder, payload["encoder"])
-        _mlp_restore(p.decoder, payload["decoder"])
-        np.copyto(p.task_encoder.weight,
-                  np.asarray(payload["task_encoder"]["weight"], dtype=np.float64))
-        np.copyto(p.task_encoder.bias,
-                  np.asarray(payload["task_encoder"]["bias"], dtype=np.float64))
-    elif model.kind == "ohe":
-        _mlp_restore(p.net, payload["net"])
-    else:
-        np.copyto(p.head_w, np.asarray(payload["head_w"], dtype=np.float64))
-        np.copyto(p.head_b, np.asarray(payload["head_b"], dtype=np.float64))
-        _mlp_restore(p.trunk, payload["trunk"])
 
 
 def checkpoint_payload(model: SacModel) -> dict:
@@ -118,23 +124,14 @@ def checkpoint_payload(model: SacModel) -> dict:
         "tasks": [t.as_dict() for t in model.tasks],
         "constants": model.constants.as_dict(),
         "config": model.config.as_dict(),
-        "policy": _policy_payload(model),
-        "q1": _mlp_payload(model.q1),
-        "q2": _mlp_payload(model.q2),
-        "q1_target": _mlp_payload(model.q1_target),
-        "q2_target": _mlp_payload(model.q2_target),
+        **_store(_networks(model)),
         "log_alpha": float(model.log_alpha),
         "target_entropy": model.target_entropy,
-        "adam": {
-            "policy": _adam_payload(model.opt_policy),
-            "q1": _adam_payload(model.opt_q1),
-            "q2": _adam_payload(model.opt_q2),
-            "alpha": _adam_payload(model.opt_alpha),
-        },
+        "adam": {name: _adam_payload(getattr(model, f"opt_{name}")) for name in _ADAM_STATES},
         "rng": model.rngs.state(),
     }
     if model.kind == "ear":
-        payload["lte_set"] = _arr(model.lte_set())
+        payload["lte_set"] = _encode(model.lte_set())
     return payload
 
 
@@ -167,49 +164,40 @@ def load_checkpoint(path: str) -> SacModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         offset = getattr(exc, "pos", getattr(exc, "start", 0))
         raise CheckpointError(f"corrupt checkpoint at byte {offset}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint version {payload.get('format_version')!r}; "
+            f"unsupported checkpoint version {version!r}; "
             f"this build reads version {FORMAT_VERSION}")
     try:
         tasks = [TaskSpec.from_dict(d) for d in payload["tasks"]]
         constants = EnvConstants(**payload["constants"])
         config = TrainConfig(**payload["config"])
         model = SacModel(payload["kind"], tasks, config, constants)
-        _policy_restore(model, payload["policy"])
-        _mlp_restore(model.q1, payload["q1"])
-        _mlp_restore(model.q2, payload["q2"])
-        _mlp_restore(model.q1_target, payload["q1_target"])
-        _mlp_restore(model.q2_target, payload["q2_target"])
+        for key, part in _networks(model).items():
+            _restore(part, payload[key], key)
         model.log_alpha[...] = float(payload["log_alpha"])
         model.target_entropy = float(payload["target_entropy"])
-        _adam_restore(model.opt_policy, payload["adam"]["policy"])
-        _adam_restore(model.opt_q1, payload["adam"]["q1"])
-        _adam_restore(model.opt_q2, payload["adam"]["q2"])
-        _adam_restore(model.opt_alpha, payload["adam"]["alpha"])
+        for name in _ADAM_STATES:
+            _adam_restore(getattr(model, f"opt_{name}"), payload["adam"][name], f"adam.{name}")
         model.rngs = RngStreams.from_state(payload["rng"])
+        if model.kind == "ear":
+            _validate_embeddings(model, payload["lte_set"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
-    _validate(model, payload)
+    if not np.isfinite([model.log_alpha, model.target_entropy]).all():
+        raise CheckpointError("non-finite temperature or target entropy")
     return model
 
 
-def _validate(model: SacModel, payload: dict) -> None:
-    for net in (model.q1, model.q2, model.q1_target, model.q2_target):
-        net.validate()
-    if model.kind == "ear":
-        model.policy.encoder.validate()
-        model.policy.decoder.validate()
-        if model.config.normalize_lte:
-            norms = np.linalg.norm(model.lte_set(), axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise CheckpointError("stored embedding set is not unit-norm")
-        stored = np.asarray(payload["lte_set"], dtype=np.float64)
-        if stored.shape != model.lte_set().shape or not np.allclose(
-                stored, model.lte_set(), atol=1e-12, rtol=0.0):
-            raise CheckpointError("stored embedding set disagrees with encoder weights")
-    if not np.isfinite(model.log_alpha):
-        raise CheckpointError("non-finite temperature")
+def _validate_embeddings(model: SacModel, encoded: dict) -> None:
+    lte = model.lte_set()
+    if model.config.normalize_lte and np.any(np.abs(np.linalg.norm(lte, axis=1) - 1.0) > 1e-9):
+        raise CheckpointError("stored embedding set is not unit-norm")
+    stored = np.empty_like(lte)
+    _decode(encoded, stored, "lte_set")
+    if not np.allclose(stored, lte, atol=1e-12, rtol=0.0):
+        raise CheckpointError("stored embedding set disagrees with encoder weights")
 
 
 def file_sha256(path: str) -> str:

@@ -126,9 +126,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - top
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    scalars = {key: doc[key] for key in ("seed", "out_dir") if key in doc}
+    for key, value in scalars.items():
+        _check_field(fields[key], value, "config")
     cfg = ExperimentConfig(
-        seed=int(doc.get("seed", 0)),
-        out_dir=str(doc.get("out_dir", "runs/latest")),
+        **scalars,
         env=_build(EnvSection, doc.get("env", {}), "env"),
         train=_build(TrainConfig, doc.get("train", {}), "train"),
         cem=_build(CemConfig, doc.get("cem", {}), "cem"),

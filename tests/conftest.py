@@ -1,8 +1,9 @@
 """Shared fixtures for the acceptance suite.
 
 Training runs dominate the suite's cost, so every trained model is
-built once per session and cached on disk (keyed by its full config and
-the training code's sources) so repeated local runs skip retraining.
+built once per session and cached on disk (keyed by its full config,
+the training code's sources and the checkpoint format version) so
+repeated local runs skip retraining.
 Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
 """
 
@@ -14,7 +15,7 @@ import time
 import pytest
 
 import latent_motor
-from latent_motor.checkpoint import load_checkpoint, save_checkpoint
+from latent_motor.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from latent_motor.envs import make_task_set
 from latent_motor.sac import TrainConfig, train
 
@@ -65,7 +66,8 @@ def _train_cached(kind, family, config, count=None):
     os.makedirs(CACHE_DIR, exist_ok=True)
     key = hashlib.sha256(json.dumps(
         {"kind": kind, "family": family, "count": count, "config": config.as_dict(),
-         "constants": DEFAULT_CONSTANTS.as_dict(), "sources": _training_sources_sha256()},
+         "constants": DEFAULT_CONSTANTS.as_dict(), "sources": _training_sources_sha256(),
+         "format": FORMAT_VERSION},
         sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(CACHE_DIR, f"{key}.ckpt.json")
     if os.path.exists(path):

@@ -4,6 +4,7 @@ Training configs here are minuscule; the point is the command surface:
 artifacts, manifests, determinism, exit codes, and strict config parsing.
 """
 
+import base64
 import json
 import os
 
@@ -354,3 +355,38 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.strip().startswith("error:")
     assert "\n" not in err.strip()
+
+
+def as_version_1(doc):
+    """The document in the version-1 layout: arrays as nested decimal lists."""
+    if isinstance(doc, dict) and set(doc) == {"shape", "f8"}:
+        raw = base64.b64decode(doc["f8"])
+        return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).tolist()
+    if isinstance(doc, dict):
+        return {k: as_version_1(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [as_version_1(v) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("damage,fragment", [
+    (lambda doc: {**as_version_1(doc), "format_version": 1},
+     "unsupported checkpoint version 1; this build reads version 2"),
+    (lambda doc: [doc], "unsupported checkpoint version None"),
+    (lambda doc: doc["q1"]["weights"][0].update(f8="%%corrupt%%"),
+     "malformed array q1.weights[0]"),
+    (lambda doc: doc["policy"]["encoder"]["biases"][0].update(shape=[3, 3]),
+     "malformed array policy.encoder.biases[0]: cannot reshape"),
+])
+def test_bad_checkpoint_exits_1_with_one_line(trained, tmp_path, capsys, damage, fragment):
+    cfg, ckpt, _ = trained
+    doc = json.loads(open(ckpt).read())
+    doc = damage(doc) or doc  # damage edits doc in place or returns a new one
+    path = tmp_path / "bad.ckpt.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "e")
+    assert main(["eval", "--config", cfg, "--checkpoint", str(path), "--out", out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: CheckpointError:") and "\n" not in err
+    assert fragment in err
+    assert not os.path.exists(os.path.join(out, "eval.json"))

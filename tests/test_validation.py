@@ -84,20 +84,29 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("env", "jump_weights", ["a", "b"], "env.jump_weights must be a list of numbers"),
     ("analysis", "betas", ["a"], "analysis.betas must be a list of numbers"),
     ("analysis", "betas", [0.5, True], "analysis.betas must be a list of numbers"),
+    # top-level fields: None stands for the document itself
+    (None, "seed", "x", "config.seed must be an integer"),
+    (None, "seed", 1.7, "config.seed must be an integer"),
+    (None, "seed", True, "config.seed must be an integer"),
+    (None, "seed", "5", "config.seed must be an integer"),
+    (None, "out_dir", 3, "config.out_dir must be a str"),
+    (None, "out_dir", None, "config.out_dir must be a str"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
-        parse_config({section: {key: value}})
+        parse_config({key: value} if section is None else {section: {key: value}})
     assert fragment in str(exc.value)
 
 
 def test_config_accepts_well_typed_values():
     cfg = parse_config({
+        "seed": 7, "out_dir": "runs/x",
         "env": {"count": None, "low": 1, "jump_weights": [1, 2.5]},
         "train": {"gamma": 1, "batch_size": 2, "optimization_times": 0,
                   "normalize_lte": False},
         "cem": {"sample_sigma": 1},
     })
+    assert cfg.seed == 7 and cfg.out_dir == "runs/x"
     assert cfg.env.count is None and cfg.env.low == 1
     assert cfg.train.gamma == 1 and cfg.train.batch_size == 2
     assert cfg.train.optimization_times == 0 and cfg.cem.sample_sigma == 1
