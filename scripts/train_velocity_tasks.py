@@ -18,7 +18,7 @@ from latent_motor.analysis import evaluate_sphere, interpolation_sweep, spearman
 from latent_motor.checkpoint import save_checkpoint
 from latent_motor.cli import _curves_csv, write_csv
 from latent_motor.envs import make_task_set
-from latent_motor.sac import TrainConfig, train_multitask
+from latent_motor.sac import TrainConfig, train
 
 
 def main():
@@ -36,7 +36,7 @@ def main():
         errs = [r.extras["vel_abs_error"] for r in reports]
         print(f"epoch {epoch:3d}  max |v - v*| = {max(errs):.3f}")
 
-    model, curves = train_multitask(config, tasks, progress=progress)
+    model, curves = train(config, tasks, "ear", progress=progress)
     _curves_csv(os.path.join(args.out, "curves.csv"), curves)
     save_checkpoint(model, os.path.join(args.out, "model.ckpt.json"))
 

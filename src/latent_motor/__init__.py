@@ -40,6 +40,5 @@ from .sac import (
     evaluate_policy,
     q_target,
     sac_update,
-    train_baseline,
-    train_multitask,
+    train,
 )

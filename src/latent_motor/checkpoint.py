@@ -9,6 +9,9 @@ byte-identical, and parsing a few base64 strings is far cheaper than
 parsing every element as a decimal. Loading decodes each array into the
 freshly built model through one helper that checks its shape and that
 every entry is finite, then re-validates the embedding invariants.
+
+In memory a network and each Adam moment is one flat buffer; the file
+keeps one field per array, splitting moments with the network's layout.
 """
 
 from __future__ import annotations
@@ -21,12 +24,11 @@ import numpy as np
 
 from .envs import EnvConstants, TaskSpec
 from .errors import CheckpointError
-from .nn import AdamState, Mlp
+from .nn import AdamState, Mlp, carve, shapes_of
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
 FORMAT_VERSION = 2
-_ADAM_STATES = ("policy", "q1", "q2", "alpha")  # SacModel.opt_<name>
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -65,10 +67,17 @@ def _networks(model: SacModel) -> dict:
             "q1_target": model.q1_target, "q2_target": model.q2_target}
 
 
+def _adam_states(model: SacModel) -> dict:
+    """Each optimizer, with the layout of the parameters it moves."""
+    return {"policy": (model.opt_policy, model.policy.layout),
+            "q1": (model.opt_q1, [model.q1.dims]), "q2": (model.opt_q2, [model.q2.dims]),
+            "alpha": (model.opt_alpha, [()])}
+
+
 def _store(part):
     """Encode an array, or a list, dict or Mlp of them."""
     if isinstance(part, Mlp):
-        return {"dims": part.dims(), "weights": _store(part.weights),
+        return {"dims": part.dims, "weights": _store(part.weights),
                 "biases": _store(part.biases)}
     if isinstance(part, dict):
         return {key: _store(sub) for key, sub in part.items()}
@@ -80,9 +89,9 @@ def _store(part):
 def _restore(part, payload, name: str) -> None:
     """Decode payload into the arrays of part, which _store encoded."""
     if isinstance(part, Mlp):
-        if payload["dims"] != part.dims():
+        if payload["dims"] != part.dims:
             raise CheckpointError(
-                f"{name} dims {payload['dims']} do not match expected {part.dims()}")
+                f"{name} dims {payload['dims']} do not match expected {part.dims}")
         _restore(part.weights, payload["weights"], f"{name}.weights")
         _restore(part.biases, payload["biases"], f"{name}.biases")
     elif isinstance(part, dict):
@@ -97,17 +106,18 @@ def _restore(part, payload, name: str) -> None:
         _decode(payload, part, name)
 
 
-def _adam_payload(st: AdamState) -> dict:
+def _adam_payload(st: AdamState, layout: list) -> dict:
     return {
-        "m": _store(st.m), "v": _store(st.v), "step": st.step,
-        "lr": st.lr, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
+        "m": _store(carve(shapes_of(layout), st.m)[1]),
+        "v": _store(carve(shapes_of(layout), st.v)[1]),
+        "step": st.step, "lr": st.lr, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
     }
 
 
-def _adam_restore(st: AdamState, payload: dict, name: str) -> None:
-    _restore(st.m, payload["m"], f"{name}.m")
-    _restore(st.v, payload["v"], f"{name}.v")
-    if any(np.any(v < 0) for v in st.v):
+def _adam_restore(st: AdamState, layout: list, payload: dict, name: str) -> None:
+    _restore(carve(shapes_of(layout), st.m)[1], payload["m"], f"{name}.m")
+    _restore(carve(shapes_of(layout), st.v)[1], payload["v"], f"{name}.v")
+    if np.any(st.v < 0):
         raise CheckpointError(f"{name}: second moments must be non-negative")
     st.step = int(payload["step"])
     st.lr = float(payload["lr"])
@@ -127,7 +137,8 @@ def checkpoint_payload(model: SacModel) -> dict:
         **_store(_networks(model)),
         "log_alpha": float(model.log_alpha),
         "target_entropy": model.target_entropy,
-        "adam": {name: _adam_payload(getattr(model, f"opt_{name}")) for name in _ADAM_STATES},
+        "adam": {name: _adam_payload(st, layout)
+                 for name, (st, layout) in _adam_states(model).items()},
         "rng": model.rngs.state(),
     }
     if model.kind == "ear":
@@ -178,8 +189,8 @@ def load_checkpoint(path: str) -> SacModel:
             _restore(part, payload[key], key)
         model.log_alpha[...] = float(payload["log_alpha"])
         model.target_entropy = float(payload["target_entropy"])
-        for name in _ADAM_STATES:
-            _adam_restore(getattr(model, f"opt_{name}"), payload["adam"][name], f"adam.{name}")
+        for name, (st, layout) in _adam_states(model).items():
+            _adam_restore(st, layout, payload["adam"][name], f"adam.{name}")
         model.rngs = RngStreams.from_state(payload["rng"])
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])

@@ -33,7 +33,7 @@ from .embedding import sphere_adjacency
 from .envs import DIR2D, RUNJUMP, VEL1D, TaskSpec
 from .errors import ConfigurationError, LatentMotorError
 from .nn import finite_difference_check, mlp_init
-from .sac import evaluate_policy, train_baseline, train_multitask
+from .sac import evaluate_policy, train
 
 
 def _fmt(x) -> str:
@@ -92,7 +92,14 @@ def _resolve(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     seed = args.seed
     if seed is None and os.environ.get("LATENT_MOTOR_SEED"):
-        seed = int(os.environ["LATENT_MOTOR_SEED"])
+        text = os.environ["LATENT_MOTOR_SEED"]
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"LATENT_MOTOR_SEED must be an integer, got {text!r}") from None
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"the seed must be >= 0, got {seed}")
     cfg = cfg.resolved(seed)
     if getattr(args, "out", None):
         cfg = dataclasses.replace(cfg, out_dir=args.out)
@@ -117,10 +124,8 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     out = _prepare_out(cfg)
     tasks = cfg.env.task_set()
-    if args.command == "train":
-        model, curves = train_multitask(cfg.train, tasks, cfg.env.constants())
-    else:
-        model, curves = train_baseline(args.kind, cfg.train, tasks, cfg.env.constants())
+    kind = "ear" if args.command == "train" else args.kind
+    model, curves = train(cfg.train, tasks, kind, cfg.env.constants())
     write_json(os.path.join(out, "config.json"), config_to_dict(cfg))
     _curves_csv(os.path.join(out, "curves.csv"), curves)
     save_checkpoint(model, os.path.join(out, "model.ckpt.json"))
@@ -274,10 +279,8 @@ def cmd_grad_check(args) -> int:
         n_layers = int(rng.integers(1, 5))
         dims = [int(rng.integers(1, 7)) for _ in range(n_layers + 1)]
         mlp = mlp_init(dims, rng)
-        for w in mlp.weights:
-            w += rng.normal(scale=0.3, size=w.shape)
-        for b in mlp.biases:
-            b += rng.normal(scale=0.3, size=b.shape)
+        for a in mlp.weights + mlp.biases:
+            a += rng.normal(scale=0.3, size=a.shape)
         x = rng.normal(size=dims[0])
         worst = max(worst, finite_difference_check(mlp, x))
     print(f"grad-check: max relative error {worst:.3e} over 100 networks")

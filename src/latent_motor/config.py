@@ -91,9 +91,8 @@ def _is_number(value) -> bool:
 
 
 def _check_field(f: dataclasses.Field, value, where: str) -> None:
-    """Type-check one field against its default. Counts (the integer
-    fields other than seed) must be >= 0, batch_size >= 2, and lists hold
-    numbers."""
+    """Type-check one field against its default. Integer fields (counts
+    and seeds) must be >= 0, batch_size >= 2, and lists hold numbers."""
     default = f.default_factory() if f.default is dataclasses.MISSING else f.default
     types, name = _expected(default)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
@@ -101,7 +100,7 @@ def _check_field(f: dataclasses.Field, value, where: str) -> None:
     if isinstance(value, list) and not all(_is_number(v) for v in value):
         raise ConfigurationError(f"{where}.{f.name} must be a list of numbers, "
                                  f"got {value!r}")
-    count = (default is None or type(default) is int) and f.name != "seed"
+    count = default is None or type(default) is int
     minimum = 2 if f.name == "batch_size" else 0
     if count and value is not None and value < minimum:
         raise ConfigurationError(f"{where}.{f.name} must be >= {minimum}, got {value}")

@@ -48,22 +48,15 @@ class TaskEncoder:
 
     Because the input is a one-hot, the raw embedding of task k is just
     column k of the weight plus the bias; gradients reach the weights
-    through the policy objective only.
+    through the policy objective only. Both arrays are views into the
+    shared-interface policy's parameter buffer.
     """
 
     weight: np.ndarray  # (embed_dim, n_tasks)
     bias: np.ndarray    # (embed_dim,)
 
-    def param_arrays(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
-
     def raw_batch(self, task_ids: np.ndarray) -> np.ndarray:
         return self.weight.T[task_ids] + self.bias
-
-
-def task_encoder_init(n_tasks: int, embed_dim: int, rng) -> TaskEncoder:
-    bound = 1.0 / np.sqrt(n_tasks)
-    return TaskEncoder(rng.uniform(-bound, bound, size=(embed_dim, n_tasks)), np.zeros(embed_dim))
 
 
 def inject_noise(z: np.ndarray, sigma: float, rng, normalized: bool = True) -> np.ndarray:

@@ -6,10 +6,16 @@ the output layer is linear, and the backward pass is written by hand so
 it can be checked against central finite differences. There is no
 autodiff graph; the only differentiable composite beyond a plain MLP is
 the squashed-Gaussian sampler, whose backward is also explicit.
+
+Each network keeps its parameters in one float64 buffer, `flat`, and
+its arrays are views into it (see carve). Gradients and Adam moments are
+vectors in the same layout, so Adam, Polyak averaging and the finiteness
+check are one elementwise operation per network.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,49 +33,55 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_2 = float(np.log(2.0))
 
 
-@dataclass
+def shapes_of(layout: list) -> list[tuple]:
+    """The array shapes of a layout (see carve) in buffer order; an MLP's
+    are weight 0, bias 0, weight 1, ..."""
+    return [shape for part in layout for shape in (
+        [s for fan_in, fan_out in zip(part[:-1], part[1:])
+         for s in ((fan_out, fan_in), (fan_out,))] if isinstance(part, list) else [part])]
+
+
+def carve(layout: list, flat: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+    """(flat, views of its consecutive blocks). A layout entry is a shape
+    tuple (an array) or a list of layer widths (an Mlp). flat None
+    allocates zeros."""
+    sizes = [sum(math.prod(s) for s in shapes_of([part])) for part in layout]
+    if flat is None:
+        flat = np.zeros(sum(sizes))
+    if flat.size != sum(sizes):
+        raise InternalError(f"buffer of {flat.size} entries does not fit layout {layout}")
+    line = flat.reshape(-1)  # a view; 1-d even for the 0-d temperature
+    blocks, at = [], 0
+    for part, n in zip(layout, sizes):
+        block = line[at:at + n]
+        blocks.append(Mlp(part, block) if isinstance(part, list) else block.reshape(part))
+        at += n
+    return flat, blocks
+
+
 class Mlp:
-    """Weights and biases of a tanh MLP; weight k maps layer k-1 to k."""
+    """A tanh MLP; weight k maps layer k-1 to layer k. weights and biases
+    are views into flat, which may be a block of a policy's buffer."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, dims: list[int], flat: np.ndarray | None = None):
+        self.dims = list(dims)
+        self.flat, arrays = carve(shapes_of([self.dims]), flat)
+        self.weights, self.biases = arrays[0::2], arrays[1::2]
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
 
-    def dims(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
-
-    def validate(self) -> None:
-        for k in range(self.n_layers):
-            if self.biases[k].shape != (self.weights[k].shape[0],):
-                raise ConfigurationError(f"layer {k}: bias shape does not match weight rows")
-            if k > 0 and self.weights[k].shape[1] != self.weights[k - 1].shape[0]:
-                raise ConfigurationError(f"layer {k}: input dim does not chain with layer {k - 1}")
-        for arr in self.param_arrays():
-            if not np.all(np.isfinite(arr)):
-                raise ConfigurationError("non-finite parameter entry")
+def init_uniform(weights: list[np.ndarray], rng) -> None:
+    """Fill each weight in place with U(+-1/sqrt(fan_in)), fan_in being
+    its last axis; biases stay zero."""
+    for w in weights:
+        bound = 1.0 / np.sqrt(w.shape[-1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
 
 
 def mlp_init(dims: list[int], rng) -> Mlp:
     """Uniform +-1/sqrt(fan_in) weights, zero biases."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(weights, biases)
+    mlp = Mlp(dims)
+    init_uniform(mlp.weights, rng)
+    return mlp
 
 
 @dataclass
@@ -92,50 +104,52 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
             f"input has {h.shape[-1]} features, first layer expects {mlp.weights[0].shape[1]}"
         )
     inputs, post = [], []
-    last = mlp.n_layers - 1
+    last = len(mlp.weights) - 1
     for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(h)
         z = h @ w.T + b
         h = z if k == last else np.tanh(z)
         post.append(h)
     out = h[0] if was_1d else h
-    return out, MlpCache(mlp.dims(), inputs, post, was_1d)
+    return out, MlpCache(mlp.dims, inputs, post, was_1d)
 
 
 def mlp_backward(
-    mlp: Mlp, cache: MlpCache, output_grad: np.ndarray
+    mlp: Mlp, cache: MlpCache, output_grad: np.ndarray, grad: Mlp | None = None
 ) -> tuple[Mlp, np.ndarray]:
     """Exact gradients of the forward map.
 
-    `output_grad` is dL/d(output); returns an Mlp-shaped gradient holder
-    (summed over the batch) and dL/d(input).
+    `output_grad` is dL/d(output); returns the parameter gradient (summed
+    over the batch) as an Mlp, whose flat is one gradient vector, and
+    dL/d(input). The gradient is written into `grad` when given (e.g. a
+    block of a policy's gradient vector), else into a new Mlp.
     """
-    if cache.dims != mlp.dims():
+    if cache.dims != mlp.dims:
         raise InternalError("backward cache does not match this network")
     g = np.asarray(output_grad, dtype=np.float64)
     if cache.was_1d:
         g = g[None, :]
     if g.shape != cache.post[-1].shape:
         raise InternalError("output_grad shape does not match cached forward output")
-    grad_w = [None] * mlp.n_layers
-    grad_b = [None] * mlp.n_layers
-    last = mlp.n_layers - 1
+    grad = Mlp(mlp.dims) if grad is None else grad
+    last = len(mlp.weights) - 1
     dh = g
     for k in range(last, -1, -1):
         dz = dh if k == last else dh * (1.0 - cache.post[k] ** 2)
-        grad_w[k] = dz.T @ cache.inputs[k]
-        grad_b[k] = dz.sum(axis=0)
+        np.matmul(dz.T, cache.inputs[k], out=grad.weights[k])
+        np.sum(dz, axis=0, out=grad.biases[k])
         dh = dz @ mlp.weights[k]
     dx = dh[0] if cache.was_1d else dh
-    return Mlp(grad_w, grad_b), dx
+    return grad, dx
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for a list of parameter arrays."""
+    """First/second moment accumulators, each shaped like the parameter
+    buffer they serve."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     lr: float = 3e-4
     beta1: float = 0.9
@@ -143,37 +157,31 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_init(params: list[np.ndarray], lr: float = 3e-4, beta1: float = 0.9,
+def adam_init(params: np.ndarray, lr: float = 3e-4, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-    )
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params),
+                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One Adam update with bias correction, in place.
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One Adam update with bias correction of a parameter buffer, in place.
 
     Raises NonFiniteGradient (before touching any state) if a gradient
     entry is NaN or Inf.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ConfigurationError("parameter / gradient / state length mismatch")
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ConfigurationError(f"param {i}: grad shape {g.shape} != param shape {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(f"non-finite gradient entry in parameter {i}")
+    if not params.shape == grad.shape == state.m.shape:
+        raise ConfigurationError(f"shapes differ: {params.shape}, {grad.shape}, {state.m.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradient("non-finite gradient entry")
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    params -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
 
 
 @dataclass
@@ -268,9 +276,8 @@ def policy_sample_backward(
 
 def soft_update(target: Mlp, live: Mlp, tau: float) -> None:
     """Polyak update: target <- tau*live + (1-tau)*target, in place."""
-    for tw, lw in zip(target.param_arrays(), live.param_arrays()):
-        tw *= 1.0 - tau
-        tw += tau * lw
+    target.flat *= 1.0 - tau
+    target.flat += tau * live.flat
 
 
 def finite_difference_check(mlp: Mlp, x: np.ndarray, h: float = 1e-5) -> float:
@@ -280,19 +287,17 @@ def finite_difference_check(mlp: Mlp, x: np.ndarray, h: float = 1e-5) -> float:
     Used by the grad-check CLI command and the test suite.
     """
     out, cache = mlp_forward(mlp, x)
-    grads, _ = mlp_backward(mlp, cache, out)
+    grad = mlp_backward(mlp, cache, out)[0].flat
+    flat = mlp.flat
     worst = 0.0
-    for arr, garr in zip(mlp.param_arrays(), grads.param_arrays()):
-        flat = arr.ravel()
-        gflat = garr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = 0.5 * np.sum(mlp_forward(mlp, x)[0] ** 2)
-            flat[i] = orig - h
-            lm = 0.5 * np.sum(mlp_forward(mlp, x)[0] ** 2)
-            flat[i] = orig
-            fd = (lp - lm) / (2.0 * h)
-            denom = max(abs(fd), abs(gflat[i]), 1e-8)
-            worst = max(worst, abs(fd - gflat[i]) / denom)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = 0.5 * np.sum(mlp_forward(mlp, x)[0] ** 2)
+        flat[i] = orig - h
+        lm = 0.5 * np.sum(mlp_forward(mlp, x)[0] ** 2)
+        flat[i] = orig
+        fd = (lp - lm) / (2.0 * h)
+        denom = max(abs(fd), abs(grad[i]), 1e-8)
+        worst = max(worst, abs(fd - grad[i]) / denom)
     return worst

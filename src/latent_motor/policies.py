@@ -2,19 +2,19 @@
 
 All three expose the same training surface:
 
+  flat, layout                                          -> parameter buffer, its nn.carve layout
   forward_train(obs, task_ids, lte_noise, sample_noise) -> (action, log_prob, cache)
-  backward_train(cache, d_action, d_log_prob)           -> grad list
-  param_arrays()                                        -> list for Adam
+  backward_train(cache, d_action, d_log_prob)           -> gradient like flat, reused buffer
   action_eval(obs, task_ids=..., lte_rows=...)          -> deterministic actions
 
-The baselines act on task_ids. The shared-interface policy encodes the
-observation to a sensory embedding, looks up a unit-norm task embedding
-by task_id in training (in evaluation it is handed embedding rows,
-lte_rows), optionally perturbs it, and decodes the concatenation into a
-squashed Gaussian. Its
-backward pass chains through the sampler, the decoder, the encoder, and
-the two sphere projections back to the task-encoder weights; only this
-path carries gradient to the embeddings.
+Every parameter array is a view into flat. The baselines act on
+task_ids. The shared-interface policy encodes the observation to a
+sensory embedding, looks up a unit-norm task embedding by task_id in
+training (in evaluation it is handed embedding rows, lte_rows),
+optionally perturbs it, and decodes the concatenation into a squashed
+Gaussian. Its backward pass chains through the sampler, the decoder, the
+encoder, and the two sphere projections back to the task-encoder
+weights; only this path carries gradient to the embeddings.
 """
 
 from __future__ import annotations
@@ -23,18 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (
-    normalize_backward,
-    normalize_rows,
-    task_encoder_init,
-)
+from .embedding import TaskEncoder, normalize_backward, normalize_rows
 from .errors import ConfigurationError
 from .nn import (
+    Mlp,
     MlpCache,
+    SampleCache,
+    carve,
     gaussian_head,
+    init_uniform,
     mlp_backward,
     mlp_forward,
-    mlp_init,
     policy_sample_backward,
     sample_squashed,
 )
@@ -58,26 +57,19 @@ class EarPolicy:
     def __init__(self, obs_dim: int, action_dim: int, n_tasks: int, rng,
                  lse_dim: int = 16, lte_dim: int = 3, width: int = 64,
                  normalize_lte: bool = True):
-        self.obs_dim = obs_dim
-        self.action_dim = action_dim
-        self.n_tasks = n_tasks
         self.lse_dim = lse_dim
-        self.lte_dim = lte_dim
         self.normalize_lte = normalize_lte
-        self.encoder = mlp_init([obs_dim, width, lse_dim], rng)
-        self.decoder = mlp_init([lse_dim + lte_dim, width, width, width, 2 * action_dim], rng)
-        self.task_encoder = task_encoder_init(n_tasks, lte_dim, rng)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return (self.encoder.param_arrays() + self.decoder.param_arrays()
-                + self.task_encoder.param_arrays())
+        self.layout = [[obs_dim, width, lse_dim],
+                       [lse_dim + lte_dim, width, width, width, 2 * action_dim],
+                       (lte_dim, n_tasks), (lte_dim,)]
+        self.flat, (self.encoder, self.decoder, te_w, te_b) = carve(self.layout)
+        self.task_encoder = TaskEncoder(te_w, te_b)
+        init_uniform(self.encoder.weights + self.decoder.weights + [te_w], rng)
+        self._grad = carve(self.layout)
 
     def lte_set(self) -> np.ndarray:
         raw = self.task_encoder.weight.T + self.task_encoder.bias
         return normalize_rows(raw) if self.normalize_lte else raw.copy()
-
-    def lte_for_task(self, task_index: int) -> np.ndarray:
-        return self.lte_set()[task_index]
 
     def _embed(self, task_ids: np.ndarray):
         raw = self.task_encoder.raw_batch(task_ids)
@@ -104,14 +96,15 @@ class EarPolicy:
         return action, log_prob, cache
 
     def backward_train(self, cache: EarCache, d_action: np.ndarray,
-                       d_log_prob: np.ndarray) -> list[np.ndarray]:
+                       d_log_prob: np.ndarray) -> np.ndarray:
+        grad, (enc_g, dec_g, te_w, te_b) = self._grad
+        te_w.fill(0.0)
+        te_b.fill(0.0)
         d_head = policy_sample_backward(cache.samp_cache, d_action, d_log_prob)
-        dec_grads, d_dec_in = mlp_backward(self.decoder, cache.dec_cache, d_head)
+        _, d_dec_in = mlp_backward(self.decoder, cache.dec_cache, d_head, dec_g)
         d_lse = d_dec_in[:, : self.lse_dim]
         d_noisy = d_dec_in[:, self.lse_dim:]
-        enc_grads, _ = mlp_backward(self.encoder, cache.enc_cache, d_lse)
-        te_w = np.zeros_like(self.task_encoder.weight)
-        te_b = np.zeros_like(self.task_encoder.bias)
+        mlp_backward(self.encoder, cache.enc_cache, d_lse, enc_g)
         if self.normalize_lte and cache.noisy_lte is not cache.lte:
             d_lte = normalize_backward(cache.noisy_pre, cache.noisy_lte, d_noisy)
         else:
@@ -122,7 +115,7 @@ class EarPolicy:
             d_raw = d_lte
         np.add.at(te_w.T, cache.task_ids, d_raw)
         te_b += d_raw.sum(axis=0)
-        return enc_grads.param_arrays() + dec_grads.param_arrays() + [te_w, te_b]
+        return grad
 
     def encode_obs(self, obs: np.ndarray) -> np.ndarray:
         return mlp_forward(self.encoder, obs)[0]
@@ -150,14 +143,11 @@ class OhePolicy:
     same depth as the composite shared-interface stack."""
 
     def __init__(self, obs_dim: int, action_dim: int, n_tasks: int, rng, width: int = 64):
-        self.obs_dim = obs_dim
-        self.action_dim = action_dim
         self.n_tasks = n_tasks
-        self.net = mlp_init(
-            [obs_dim + n_tasks, width, width, width, width, width, 2 * action_dim], rng)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return self.net.param_arrays()
+        self.layout = [[obs_dim + n_tasks, width, width, width, width, width, 2 * action_dim]]
+        self.flat, (self.net,) = carve(self.layout)
+        init_uniform(self.net.weights, rng)
+        self._grad = Mlp(self.net.dims)
 
     def _input(self, obs, task_ids):
         onehot = np.eye(self.n_tasks)[np.asarray(task_ids)]
@@ -169,10 +159,9 @@ class OhePolicy:
         action, log_prob, samp_cache = sample_squashed(out, sample_noise)
         return action, log_prob, OheCache(net_cache, samp_cache)
 
-    def backward_train(self, cache: OheCache, d_action, d_log_prob) -> list[np.ndarray]:
+    def backward_train(self, cache: OheCache, d_action, d_log_prob) -> np.ndarray:
         d_head = policy_sample_backward(cache.samp_cache, d_action, d_log_prob)
-        grads, _ = mlp_backward(self.net, cache.net_cache, d_head)
-        return grads.param_arrays()
+        return mlp_backward(self.net, cache.net_cache, d_head, self._grad)[0].flat
 
     def action_eval(self, obs, task_ids=None, lte_rows=None):
         head_raw, _ = mlp_forward(self.net, self._input(obs, task_ids))
@@ -192,16 +181,11 @@ class MhmtPolicy:
     """Multi-head baseline: a per-task first layer feeding a shared trunk."""
 
     def __init__(self, obs_dim: int, action_dim: int, n_tasks: int, rng, width: int = 64):
-        self.obs_dim = obs_dim
-        self.action_dim = action_dim
-        self.n_tasks = n_tasks
-        bound = 1.0 / np.sqrt(obs_dim)
-        self.head_w = rng.uniform(-bound, bound, size=(n_tasks, width, obs_dim))
-        self.head_b = np.zeros((n_tasks, width))
-        self.trunk = mlp_init([width, width, width, width, 2 * action_dim], rng)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [self.head_w, self.head_b] + self.trunk.param_arrays()
+        self.layout = [(n_tasks, width, obs_dim), (n_tasks, width),
+                       [width, width, width, width, 2 * action_dim]]
+        self.flat, (self.head_w, self.head_b, self.trunk) = carve(self.layout)
+        init_uniform([self.head_w] + self.trunk.weights, rng)
+        self._grad = carve(self.layout)
 
     def _head(self, obs, task_ids):
         ids = np.asarray(task_ids)
@@ -216,15 +200,16 @@ class MhmtPolicy:
         return action, log_prob, MhmtCache(np.asarray(obs), np.asarray(task_ids), h,
                                            trunk_cache, samp_cache)
 
-    def backward_train(self, cache: MhmtCache, d_action, d_log_prob) -> list[np.ndarray]:
+    def backward_train(self, cache: MhmtCache, d_action, d_log_prob) -> np.ndarray:
+        grad, (gw, gb, trunk_g) = self._grad
+        gw.fill(0.0)
+        gb.fill(0.0)
         d_head_out = policy_sample_backward(cache.samp_cache, d_action, d_log_prob)
-        trunk_grads, d_h = mlp_backward(self.trunk, cache.trunk_cache, d_head_out)
+        _, d_h = mlp_backward(self.trunk, cache.trunk_cache, d_head_out, trunk_g)
         dz = d_h * (1.0 - cache.head_post ** 2)
-        gw = np.zeros_like(self.head_w)
-        gb = np.zeros_like(self.head_b)
         np.add.at(gw, cache.task_ids, np.einsum("bo,bi->boi", dz, cache.obs))
         np.add.at(gb, cache.task_ids, dz)
-        return [gw, gb] + trunk_grads.param_arrays()
+        return grad
 
     def action_eval(self, obs, task_ids=None, lte_rows=None):
         h = self._head(obs, task_ids)

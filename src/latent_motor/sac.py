@@ -33,8 +33,8 @@ from .envs import (
     action_dim,
     obs_dim,
 )
-from .errors import ConfigurationError, NonFiniteGradient, TrainingDiverged
-from .nn import adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, soft_update
+from .errors import ConfigurationError, TrainingDiverged
+from .nn import Mlp, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, soft_update
 from .policies import build_policy
 from .replay import Batch, ReplayBuffer
 from .rng import RngStreams, eval_generator
@@ -136,13 +136,19 @@ class SacModel:
                  config.hidden_width, config.hidden_width, config.hidden_width, 1]
         self.q1 = mlp_init(qdims, init)
         self.q2 = mlp_init(qdims, init)
-        self.q1_target = self.q1.copy()
-        self.q2_target = self.q2.copy()
+        self.q1_target = Mlp(qdims, self.q1.flat.copy())
+        self.q2_target = Mlp(qdims, self.q2.flat.copy())
         self.log_alpha = np.array(0.0)
-        self.opt_policy = adam_init(self.policy.param_arrays(), lr=config.lr)
-        self.opt_q1 = adam_init(self.q1.param_arrays(), lr=config.lr)
-        self.opt_q2 = adam_init(self.q2.param_arrays(), lr=config.lr)
-        self.opt_alpha = adam_init([self.log_alpha], lr=config.lr)
+        self.opt_policy = adam_init(self.policy.flat, lr=config.lr)
+        self.opt_q1 = adam_init(self.q1.flat, lr=config.lr)
+        self.opt_q2 = adam_init(self.q2.flat, lr=config.lr)
+        self.opt_alpha = adam_init(self.log_alpha, lr=config.lr)
+        # Buffers every update reuses: critic gradients, and a copy of what a
+        # critic step changes, so that a failed actor or temperature phase can undo it.
+        self._q_grads = (Mlp(qdims), Mlp(qdims))
+        self._critic_state = [self.q1.flat, self.q2.flat, self.opt_q1.m, self.opt_q1.v,
+                              self.opt_q2.m, self.opt_q2.v]
+        self._critic_copy = [np.empty_like(a) for a in self._critic_state]
         self._eye = np.eye(self.n_tasks)
         self._bad_steps = 0
         self.buffer = None  # attached by train() for post-run inspection
@@ -165,7 +171,7 @@ class SacModel:
         if self.kind != "ear":
             raise ConfigurationError("only the shared-interface policy has task embeddings")
         self.task(task_index)
-        return self.policy.lte_for_task(task_index)
+        return self.policy.lte_set()[task_index]
 
     def lte_set(self) -> np.ndarray:
         if self.kind != "ear":
@@ -188,15 +194,14 @@ def q_target(model: SacModel, batch: Batch) -> np.ndarray:
 
 
 def sac_update(model: SacModel, batch: Batch) -> LossReport:
-    """One full optimization step; skips (and counts) non-finite steps."""
+    """One full optimization step, applied whole or not at all: if a loss or
+    gradient is NaN or Inf, the step is skipped and counted, and parameters,
+    Adam states, temperature and targets stay byte-equal to their values
+    before the call. Random draws made before the failure stay consumed."""
     if len(batch) < 2:
         raise ConfigurationError("batch size must be >= 2")
-    try:
-        report = _sac_update_inner(model, batch)
-    except NonFiniteGradient:
-        report = None
-    if report is None or not np.isfinite(
-            [report.j_q1, report.j_q2, report.j_pi, report.j_alpha]).all():
+    report = _sac_update_inner(model, batch)
+    if report is None:
         model._bad_steps += 1
         if model._bad_steps >= 10:
             raise TrainingDiverged("10 consecutive non-finite optimization steps")
@@ -205,26 +210,32 @@ def sac_update(model: SacModel, batch: Batch) -> LossReport:
     return report
 
 
+def _finite(*values) -> bool:
+    return all(np.isfinite(v).all() for v in values)
+
+
 def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
+    """The update of sac_update; None, with nothing changed, on a NaN or Inf."""
     b = len(batch)
     cfg = model.config
     onehot = model.onehot(batch.task_id)
 
-    # Critics.
+    # Critics: both gradients are checked before either is applied (q2's
+    # pass does not read q1).
     y = q_target(model, batch)
-    if not np.all(np.isfinite(y)):
-        return None
     x = np.concatenate([batch.obs, batch.action, onehot], axis=1)
-    losses = []
-    for q, opt in ((model.q1, model.opt_q1), (model.q2, model.opt_q2)):
+    losses, grads = [], []
+    for q, grad in zip((model.q1, model.q2), model._q_grads):
         pred, cache = mlp_forward(q, x)
         err = pred[:, 0] - y
-        j_q = 0.5 * float(np.mean(err ** 2))
-        if not np.isfinite(j_q):
-            return None
-        grads, _ = mlp_backward(q, cache, (err / b)[:, None])
-        adam_step(q.param_arrays(), grads.param_arrays(), opt)
-        losses.append(j_q)
+        losses.append(0.5 * float(np.mean(err ** 2)))
+        grads.append(mlp_backward(q, cache, (err / b)[:, None], grad)[0].flat)
+    if not _finite(losses, *grads):
+        return None
+    for state, copy in zip(model._critic_state, model._critic_copy):
+        np.copyto(copy, state)
+    adam_step(model.q1.flat, grads[0], model.opt_q1)
+    adam_step(model.q2.flat, grads[1], model.opt_q2)
 
     # Actor: reparameterized actions with fresh noisy embeddings.
     lte_noise = None
@@ -240,23 +251,28 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     qmin = np.minimum(q1v, q2v)
     alpha = model.alpha
     j_pi = float(np.mean(alpha * logp - qmin))
-    if not np.isfinite(j_pi):
-        return None
     take1 = (q1v <= q2v).astype(np.float64)
     d_q1out = (-take1 / b)[:, None]
     d_q2out = (-(1.0 - take1) / b)[:, None]
-    _, dx1 = mlp_backward(model.q1, c1, d_q1out)
-    _, dx2 = mlp_backward(model.q2, c2, d_q2out)
+    _, dx1 = mlp_backward(model.q1, c1, d_q1out, model._q_grads[0])
+    _, dx2 = mlp_backward(model.q2, c2, d_q2out, model._q_grads[1])
     sl = slice(model.obs_dim, model.obs_dim + model.action_dim)
     d_action = dx1[:, sl] + dx2[:, sl]
     d_logp = np.full(b, alpha / b)
-    pgrads = model.policy.backward_train(pcache, d_action, d_logp)
-    adam_step(model.policy.param_arrays(), pgrads, model.opt_policy)
+    pgrad = model.policy.backward_train(pcache, d_action, d_logp)
 
     # Temperature.
     j_alpha = float(np.mean(-alpha * (logp + model.target_entropy)))
     d_log_alpha = np.array(-alpha * float(np.mean(logp + model.target_entropy)))
-    adam_step([model.log_alpha], [d_log_alpha], model.opt_alpha)
+
+    if not _finite([j_pi, j_alpha], pgrad, d_log_alpha):
+        for state, copy in zip(model._critic_state, model._critic_copy):
+            np.copyto(state, copy)
+        model.opt_q1.step -= 1
+        model.opt_q2.step -= 1
+        return None
+    adam_step(model.policy.flat, pgrad, model.opt_policy)
+    adam_step(model.log_alpha, d_log_alpha, model.opt_alpha)
 
     # Targets.
     soft_update(model.q1_target, model.q1, cfg.tau)
@@ -430,7 +446,8 @@ def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalR
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
           constants: EnvConstants = DEFAULT_CONSTANTS, stop_fn=None,
           progress=None) -> tuple[SacModel, list[CurvePoint]]:
-    """Run the full multi-task training loop.
+    """Run the full multi-task training loop for a policy kind: "ear" (the
+    shared-interface policy), or the "ohe" or "mhmt" baseline.
 
     stop_fn, when given, receives (epoch, reports) after each epoch's
     evaluation and may end training early by returning True; the curve
@@ -468,17 +485,3 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
             break
     model.buffer = buffer
     return model, curves
-
-
-def train_multitask(config: TrainConfig, task_set: list[TaskSpec],
-                    constants: EnvConstants = DEFAULT_CONSTANTS, stop_fn=None,
-                    progress=None) -> tuple[SacModel, list[CurvePoint]]:
-    return train(config, task_set, "ear", constants, stop_fn, progress)
-
-
-def train_baseline(kind: str, config: TrainConfig, task_set: list[TaskSpec],
-                   constants: EnvConstants = DEFAULT_CONSTANTS, stop_fn=None,
-                   progress=None) -> tuple[SacModel, list[CurvePoint]]:
-    if kind not in ("mhmt", "ohe"):
-        raise ConfigurationError("baseline kind must be 'mhmt' or 'ohe'")
-    return train(config, task_set, kind, constants, stop_fn, progress)

@@ -34,7 +34,7 @@ from latent_motor.nn import (
     mlp_init,
     policy_log_prob,
 )
-from latent_motor.sac import TrainConfig, eval_all_tasks, evaluate_policy, train_multitask
+from latent_motor.sac import TrainConfig, eval_all_tasks, evaluate_policy, train
 
 from conftest import SEEDS, TRAIN_DURATIONS
 
@@ -98,7 +98,7 @@ def test_c02_single_task_sanity():
             reached["err"] = err
         return err < 0.1
 
-    model, curves = train_multitask(config, task, stop_fn=stop)
+    model, curves = train(config, task, "ear", stop_fn=stop)
     elapsed = time.perf_counter() - t0
     rep = evaluate_policy(model, model.lte_for_task(0), task[0], 3, eval_seed=EVAL_SEED)
     err = rep.extras["vel_abs_error"]

@@ -125,11 +125,10 @@ def test_evaluate_sphere_grid_size_and_consistency():
 
 def test_evaluate_sphere_pure_wrt_model():
     m = tiny_model()
-    before = [p.copy() for p in m.policy.param_arrays()]
+    before = m.policy.flat.copy()
     state_before = m.rngs.state()
     evaluate_sphere(m, m.tasks[0], 2, eval_seed=1)
-    for a, b in zip(before, m.policy.param_arrays()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(before, m.policy.flat)
     assert m.rngs.state() == state_before
 
 

@@ -131,6 +131,25 @@ def test_seed_env_var_and_flag_priority(tmp_path, monkeypatch):
     assert manifest["seed"] == 9
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+def test_bad_seed_exits_1_with_one_line(tmp_path, monkeypatch, capsys, source):
+    out = tmp_path / "run"
+    argv = ["train", "--out", str(out)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        fragment = "the seed must be >= 0, got -1"
+    elif source == "env":
+        argv = ["grad-check"]
+        monkeypatch.setenv("LATENT_MOTOR_SEED", "x")
+        fragment = "LATENT_MOTOR_SEED must be an integer, got 'x'"
+    else:
+        argv += ["--config", write_config(tmp_path, seed=-1)]
+        fragment = "config.seed must be >= 0, got -1"
+    assert main(argv) == 1
+    assert_one_error_line(capsys, fragment)
+    assert not out.exists()
+
+
 def test_train_baseline_kind(tmp_path):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "rb"))
     assert main(["train-baseline", "--kind", "ohe", "--config", cfg]) == 0

@@ -23,15 +23,15 @@ from latent_motor.nn import (
 
 
 def test_forward_identity_single_layer():
-    mlp = Mlp([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+    mlp = Mlp([2, 2])
+    mlp.weights[0][...] = np.eye(2)
     out, _ = mlp_forward(mlp, np.array([3.0, -2.0]))
     assert np.array_equal(out, np.array([3.0, -2.0]))
 
 
 def test_forward_zero_weight_hidden():
     # hidden layer collapses to tanh(0)=0, output layer gives 2*0+1
-    mlp = Mlp([np.array([[0.0]]), np.array([[2.0]])],
-              [np.zeros(1), np.array([1.0])])
+    mlp = Mlp([1, 1, 1], np.array([0.0, 0.0, 2.0, 1.0]))
     out, _ = mlp_forward(mlp, np.array([5.0]))
     assert out == pytest.approx([1.0], abs=0)
 
@@ -67,14 +67,13 @@ def test_backward_zero_grad_gives_zero():
     mlp = mlp_init([2, 3, 2], rng)
     out, cache = mlp_forward(mlp, np.ones(2))
     grads, dx = mlp_backward(mlp, cache, np.zeros_like(out))
-    for g in grads.param_arrays():
-        assert np.all(g == 0)
+    assert np.all(grads.flat == 0)
     assert np.all(dx == 0)
 
 
 def test_backward_linear_analytic():
     # y = w*x + b, dL/dy = 1  ->  dw = x, db = 1
-    mlp = Mlp([np.array([[1.7]])], [np.array([0.3])])
+    mlp = Mlp([1, 1], np.array([1.7, 0.3]))
     x = np.array([2.5])
     out, cache = mlp_forward(mlp, x)
     grads, dx = mlp_backward(mlp, cache, np.array([1.0]))
@@ -118,19 +117,38 @@ def test_gradients_exact_across_random_configurations():
 def test_adam_zero_gradient_keeps_params():
     rng = np.random.default_rng(5)
     mlp = mlp_init([2, 3, 1], rng)
-    params = mlp.param_arrays()
-    before = [p.copy() for p in params]
-    state = adam_init(params, lr=1e-3)
+    before = mlp.flat.copy()
+    state = adam_init(mlp.flat, lr=1e-3)
     for _ in range(3):
-        adam_step(params, [np.zeros_like(p) for p in params], state)
-    for b, p in zip(before, params):
-        assert np.array_equal(b, p)
+        adam_step(mlp.flat, np.zeros_like(mlp.flat), state)
+    assert np.array_equal(before, mlp.flat)
+
+
+def test_flat_adam_step_matches_per_array_steps_bitwise():
+    # reference: the same update applied to each weight and bias as its own array
+    rng = np.random.default_rng(12)
+    mlp = mlp_init([3, 5, 2], rng)
+    ref = [a.copy() for a in mlp.weights + mlp.biases]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    state = adam_init(mlp.flat, lr=1e-2)
+    for t in range(1, 4):
+        grad = Mlp(mlp.dims, rng.normal(size=mlp.flat.size))
+        adam_step(mlp.flat, grad.flat, state)
+        for p, g, m, v in zip(ref, grad.weights + grad.biases, ref_m, ref_v):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 1e-2 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+    for p, a in zip(ref, mlp.weights + mlp.biases):
+        assert p.tobytes() == a.tobytes()
 
 
 def test_adam_first_step_matches_hand_formula():
     p = np.array(1.0)
-    state = adam_init([p], lr=1e-3)
-    adam_step([p], [np.array(4.0)], state)
+    state = adam_init(p, lr=1e-3)
+    adam_step(p, np.array(4.0), state)
     # hand evaluation: m=0.4/0.1=4, v=0.016/0.001=16, step = -1e-3*4/(4+1e-8)
     expected = 1.0 - 1e-3 * 4.0 / (4.0 + 1e-8)
     assert float(p) == pytest.approx(expected, abs=1e-15)
@@ -146,17 +164,17 @@ def test_adam_two_step_trace():
             p -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
         return p
     p = np.array(1.0)
-    state = adam_init([p], lr=1e-3)
-    adam_step([p], [np.array(4.0)], state)
-    adam_step([p], [np.array(4.0)], state)
+    state = adam_init(p, lr=1e-3)
+    adam_step(p, np.array(4.0), state)
+    adam_step(p, np.array(4.0), state)
     assert float(p) == pytest.approx(oracle(4.0, 1e-3, 0.9, 0.999, 1e-8, 2), abs=1e-12)
 
 
 def test_adam_rejects_non_finite():
     p = np.array(1.0)
-    state = adam_init([p])
+    state = adam_init(p)
     with pytest.raises(NonFiniteGradient):
-        adam_step([p], [np.array(np.nan)], state)
+        adam_step(p, np.array(np.nan), state)
     assert float(p) == 1.0
     assert state.step == 0
 
@@ -166,10 +184,10 @@ def test_adam_rejects_non_finite():
 def test_adam_second_moments_nonnegative(seed):
     rng = np.random.default_rng(seed)
     p = rng.normal(size=4)
-    state = adam_init([p])
+    state = adam_init(p)
     for _ in range(5):
-        adam_step([p], [rng.normal(size=4)], state)
-    assert np.all(state.v[0] >= 0)
+        adam_step(p, rng.normal(size=4), state)
+    assert np.all(state.v >= 0)
 
 
 def test_gaussian_head_clamps_log_std():
@@ -221,8 +239,6 @@ def test_soft_update_convex_combination():
     live = mlp_init([2, 3], rng)
     target = mlp_init([2, 3], rng)
     tau = 0.25
-    expected = [tau * l + (1 - tau) * t
-                for l, t in zip(live.param_arrays(), [p.copy() for p in target.param_arrays()])]
+    expected = tau * live.flat + (1 - tau) * target.flat
     soft_update(target, live, tau)
-    for e, t in zip(expected, target.param_arrays()):
-        assert np.allclose(e, t, atol=1e-15)
+    assert np.allclose(expected, target.flat, atol=1e-15)

@@ -8,6 +8,7 @@ against central finite differences on a scalar probe loss.
 import numpy as np
 import pytest
 
+from latent_motor.nn import carve
 from latent_motor.policies import EarPolicy, MhmtPolicy, build_policy
 from latent_motor.errors import ConfigurationError
 
@@ -19,19 +20,21 @@ def probe_loss(policy, obs, ids, lte_noise, samp, ca, cl):
 
 def fd_worst(policy, obs, ids, lte_noise, samp, ca, cl, h=1e-6):
     _, _, cache = policy.forward_train(obs, ids, lte_noise, samp)
-    grads = policy.backward_train(cache, ca, cl)
+    gf = policy.backward_train(cache, ca, cl).copy()
+    # the gradient buffer is reused, so a second call must not add to the first
+    assert np.array_equal(policy.backward_train(cache, ca, cl), gf)
+    flat = policy.flat
+    assert gf.shape == flat.shape
     worst = 0.0
-    for arr, g in zip(policy.param_arrays(), grads):
-        flat, gf = arr.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = probe_loss(policy, obs, ids, lte_noise, samp, ca, cl)
-            flat[i] = orig - h
-            lm = probe_loss(policy, obs, ids, lte_noise, samp, ca, cl)
-            flat[i] = orig
-            fd = (lp - lm) / (2 * h)
-            worst = max(worst, abs(fd - gf[i]) / max(abs(fd), abs(gf[i]), 1e-7))
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = probe_loss(policy, obs, ids, lte_noise, samp, ca, cl)
+        flat[i] = orig - h
+        lm = probe_loss(policy, obs, ids, lte_noise, samp, ca, cl)
+        flat[i] = orig
+        fd = (lp - lm) / (2 * h)
+        worst = max(worst, abs(fd - gf[i]) / max(abs(fd), abs(gf[i]), 1e-7))
     return worst
 
 
@@ -72,8 +75,8 @@ def test_mhmt_rows_only_touch_their_head():
     ids = np.array([0, 0, 2, 2])
     samp = rng.normal(size=(4, 1))
     _, _, cache = pol.forward_train(obs, ids, None, samp)
-    grads = pol.backward_train(cache, np.ones((4, 1)), np.zeros(4))
-    gw = grads[0]
+    grad = pol.backward_train(cache, np.ones((4, 1)), np.zeros(4))
+    _, (gw, _, _) = carve(pol.layout, grad)
     assert np.any(gw[0] != 0.0)
     assert np.all(gw[1] == 0.0)
     assert np.any(gw[2] != 0.0)

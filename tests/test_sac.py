@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from latent_motor import sac
 from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.nn import mlp_forward
@@ -20,8 +21,7 @@ from latent_motor.sac import (
     evaluate_policy,
     q_target,
     sac_update,
-    train_baseline,
-    train_multitask,
+    train,
     _metric_windows,
     _primary_metric,
     _record,
@@ -113,8 +113,7 @@ def test_buffer_empty_sample_rejected():
 def test_target_nets_equal_live_at_init():
     m = tiny_model()
     for live, targ in ((m.q1, m.q1_target), (m.q2, m.q2_target)):
-        for a, b in zip(live.param_arrays(), targ.param_arrays()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(live.flat, targ.flat)
 
 
 def test_lse_dimension_is_sixteen_by_default():
@@ -126,13 +125,13 @@ def test_lse_dimension_is_sixteen_by_default():
 
 def test_ohe_policy_input_dim():
     m = tiny_model("ohe", count=4)
-    assert m.policy.net.dims()[0] == m.obs_dim + 4
+    assert m.policy.net.dims[0] == m.obs_dim + 4
 
 
 def test_mhmt_head_blocks():
     m = tiny_model("mhmt", count=4)
     assert m.policy.head_w.shape[0] == 4
-    assert m.policy.trunk.dims()[0] == m.config.hidden_width
+    assert m.policy.trunk.dims[0] == m.config.hidden_width
 
 
 # --- policy forward ---
@@ -245,6 +244,62 @@ def test_sac_update_reports_finite_losses():
     assert not rep.skipped
 
 
+def update_state(m):
+    """The bytes of everything an update may change, and the Adam steps."""
+    opts = (m.opt_policy, m.opt_q1, m.opt_q2, m.opt_alpha)
+    arrays = [m.policy.flat, m.q1.flat, m.q2.flat, m.q1_target.flat, m.q2_target.flat,
+              m.log_alpha] + [a for opt in opts for a in (opt.m, opt.v)]
+    return [a.tobytes() for a in arrays] + [opt.step for opt in opts]
+
+
+def poison_forward(monkeypatch, net, nth):
+    """Make the nth sac.mlp_forward call on net (1-based) output NaN."""
+    calls = []
+    real = sac.mlp_forward
+
+    def forward(mlp, x):
+        out, cache = real(mlp, x)
+        if mlp is net:
+            calls.append(mlp)
+            if len(calls) == nth:
+                out = out * np.nan
+        return out, cache
+    monkeypatch.setattr(sac, "mlp_forward", forward)
+
+
+@pytest.mark.parametrize("phase", ["q1 loss", "q2 loss", "j_pi", "policy gradient",
+                                   "temperature gradient"])
+def test_skipped_step_changes_nothing(monkeypatch, phase):
+    m, clean = tiny_model(), tiny_model()
+    for model in (m, clean):  # moments and steps away from their zero start
+        sac_update(model, random_batch(model, 16, seed=0))
+    before = update_state(m)
+    assert update_state(clean) == before
+    assert not sac_update(clean, random_batch(clean, 16, seed=1)).skipped
+    assert all(a != b for a, b in zip(update_state(clean), before))
+
+    if phase == "q1 loss":
+        poison_forward(monkeypatch, m.q1, 1)
+    elif phase == "q2 loss":
+        poison_forward(monkeypatch, m.q2, 1)
+    elif phase == "j_pi":  # q1's second pass scores the actor's actions
+        poison_forward(monkeypatch, m.q1, 2)
+    elif phase == "policy gradient":
+        real = m.policy.backward_train
+
+        def backward(*args):
+            grad = real(*args)
+            grad[-1] = np.inf
+            return grad
+        monkeypatch.setattr(m.policy, "backward_train", backward)
+    else:
+        monkeypatch.setattr(m, "target_entropy", np.nan)
+    rep = sac_update(m, random_batch(m, 16, seed=1))
+    assert rep.skipped
+    assert m._bad_steps == 1
+    assert update_state(m) == before
+
+
 def test_alpha_positive_and_gradient_sign():
     # entropy above target -> alpha pressured down; below -> up
     m = tiny_model()
@@ -299,12 +354,10 @@ def test_lte_unit_norm_after_updates():
 
 def test_target_update_is_convex_combination():
     m = tiny_model()
-    before = [p.copy() for p in m.q1_target.param_arrays()]
+    before = m.q1_target.flat.copy()
     sac_update(m, random_batch(m, 16))
     tau = m.config.tau
-    for prev, now, live in zip(before, m.q1_target.param_arrays(),
-                               m.q1.param_arrays()):
-        assert np.allclose(now, tau * live + (1 - tau) * prev, atol=1e-12)
+    assert np.allclose(m.q1_target.flat, tau * m.q1.flat + (1 - tau) * before, atol=1e-12)
 
 
 # --- training loop ---
@@ -314,36 +367,36 @@ def test_pretrain_fills_buffer_exactly():
     cfg = tiny_config(pretrain_epochs=20, train_epochs=1, optimization_times=1,
                       collect_each_epoch=False)
     tasks = make_task_set("vel1d", count=2)
-    model, _ = train_multitask(cfg, tasks)
+    model, _ = train(cfg, tasks)
     assert len(model.buffer) == 20 * 2 * 200
 
 
 def test_curve_length_equals_train_epochs():
     cfg = tiny_config(train_epochs=3, optimization_times=1)
     tasks = make_task_set("vel1d", count=2)
-    _, curves = train_multitask(cfg, tasks)
+    _, curves = train(cfg, tasks)
     assert len(curves) == 3 * 2
     assert max(c.epoch for c in curves) == 2
 
 
 def test_train_zero_epochs_rejected():
     with pytest.raises(ConfigurationError):
-        train_multitask(tiny_config(train_epochs=0), make_task_set("vel1d", count=2))
+        train(tiny_config(train_epochs=0), make_task_set("vel1d", count=2))
 
 
 def test_train_baseline_kinds():
     cfg = tiny_config()
     tasks = make_task_set("vel1d", count=2)
     for kind in ("mhmt", "ohe"):
-        model, curves = train_baseline(kind, cfg, tasks)
+        model, curves = train(cfg, tasks, kind)
         assert model.kind == kind
-    with pytest.raises(ConfigurationError):
-        train_baseline("nope", cfg, tasks)
+    with pytest.raises(ConfigurationError, match="unknown policy kind 'nope'"):
+        train(cfg, tasks, "nope")
 
 
 def test_loss_finiteness_over_short_run():
     cfg = tiny_config(train_epochs=3, optimization_times=10)
-    model, curves = train_multitask(cfg, make_task_set("vel1d", count=2))
+    model, curves = train(cfg, make_task_set("vel1d", count=2))
     for c in curves:
         assert np.isfinite([c.j_q1, c.j_q2, c.j_pi, c.j_alpha, c.alpha]).all()
 
@@ -449,10 +502,10 @@ def test_evaluate_embeddings_matches_per_row_evaluation(family, episodes):
 
 def test_evaluate_embeddings_leaves_model_untouched():
     m = tiny_model()
-    params = [p.copy() for p in m.policy.param_arrays()]
+    params = m.policy.flat.copy()
     state = m.rngs.state()
     evaluate_embeddings(m, probe_embeddings(5), m.tasks[0], 2, eval_seed=1)
-    assert all(np.array_equal(a, b) for a, b in zip(params, m.policy.param_arrays()))
+    assert np.array_equal(params, m.policy.flat)
     assert m.rngs.state() == state
 
 
@@ -476,11 +529,9 @@ def test_baseline_evaluation_rejects_an_embedding():
 def test_full_run_determinism_bitwise():
     cfg = tiny_config(train_epochs=2, optimization_times=5)
     tasks = make_task_set("vel1d", count=2)
-    m1, c1 = train_multitask(cfg, tasks)
-    m2, c2 = train_multitask(cfg, tasks)
-    for a, b in zip(m1.policy.param_arrays(), m2.policy.param_arrays()):
-        assert np.array_equal(a, b)
-    for a, b in zip(m1.q1.param_arrays(), m2.q1.param_arrays()):
-        assert np.array_equal(a, b)
+    m1, c1 = train(cfg, tasks)
+    m2, c2 = train(cfg, tasks)
+    assert np.array_equal(m1.policy.flat, m2.policy.flat)
+    assert np.array_equal(m1.q1.flat, m2.q1.flat)
     assert float(m1.log_alpha) == float(m2.log_alpha)
     assert [vars(x) for x in c1] == [vars(y) for y in c2]

@@ -89,6 +89,8 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     (None, "seed", 1.7, "config.seed must be an integer"),
     (None, "seed", True, "config.seed must be an integer"),
     (None, "seed", "5", "config.seed must be an integer"),
+    (None, "seed", -1, "config.seed must be >= 0"),
+    ("train", "seed", -2, "train.seed must be >= 0"),
     (None, "out_dir", 3, "config.out_dir must be a str"),
     (None, "out_dir", None, "config.out_dir must be a str"),
 ])
