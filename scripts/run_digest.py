@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Fingerprint training: run five fixed short trainings through the CLI and
+"""Fingerprint training: run six fixed short trainings through the CLI and
 print the sha256 of each run's model.ckpt.json and curves.csv.
 
 The runs are ear, ohe and mhmt on vel1d, and ear on dir2d and runjump, all
-with seed 3 and small fixed budgets (a few seconds each). Two source trees
+with seed 3 and small fixed budgets (a few seconds each) at batch 64, plus
+ear on vel1d at the default batch of 256, the size at which each hidden
+activation of a training step is a 256x64 array. Two source trees
 that print the same lines train bit for bit the same, so running this
 before and after a refactor of the training path is its proof.
 
@@ -25,13 +27,16 @@ from latent_motor.cli import main as cli_main
 TRAIN = {"pretrain_epochs": 2, "train_epochs": 3, "optimization_times": 25,
          "batch_size": 64, "buffer_capacity": 2000, "eval_episodes": 1}
 
-# name -> (CLI command and flags, env section)
+VEL3 = {"family": "vel1d", "count": 3}
+
+# name -> (CLI command and flags, env section, train section)
 RUNS = {
-    "ear-vel1d": (["train"], {"family": "vel1d", "count": 3}),
-    "ohe-vel1d": (["train-baseline", "--kind", "ohe"], {"family": "vel1d", "count": 3}),
-    "mhmt-vel1d": (["train-baseline", "--kind", "mhmt"], {"family": "vel1d", "count": 3}),
-    "ear-dir2d": (["train"], {"family": "dir2d", "count": 3}),
-    "ear-runjump": (["train"], {"family": "runjump", "run_count": 2, "jump_count": 2}),
+    "ear-vel1d": (["train"], VEL3, TRAIN),
+    "ohe-vel1d": (["train-baseline", "--kind", "ohe"], VEL3, TRAIN),
+    "mhmt-vel1d": (["train-baseline", "--kind", "mhmt"], VEL3, TRAIN),
+    "ear-dir2d": (["train"], {"family": "dir2d", "count": 3}, TRAIN),
+    "ear-runjump": (["train"], {"family": "runjump", "run_count": 2, "jump_count": 2}, TRAIN),
+    "ear-vel1d-b256": (["train"], VEL3, dict(TRAIN, batch_size=256)),
 }
 
 
@@ -41,19 +46,19 @@ def sha256(path: str) -> str:
 
 
 def run_all(root: str) -> int:
-    for name, (command, env) in RUNS.items():
+    for name, (command, env, train) in RUNS.items():
         out = os.path.join(root, name)
         os.makedirs(out, exist_ok=True)
         config = os.path.join(out, "input.json")
         with open(config, "w") as fh:
             json.dump({"seed": 3, "env": dict(env, max_episode_frames=60),
-                       "train": TRAIN}, fh)
+                       "train": train}, fh)
         code = cli_main(command + ["--config", config, "--out", out])
         if code != 0:
             print(f"{name}: latent-motor exited with {code}", file=sys.stderr)
             return code
         for artifact in ("model.ckpt.json", "curves.csv"):
-            print(f"{name:12s} {artifact:16s} {sha256(os.path.join(out, artifact))}")
+            print(f"{name:14s} {artifact:16s} {sha256(os.path.join(out, artifact))}")
     return 0
 
 

@@ -90,9 +90,16 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# Integer fields that must exceed 0 (a zero width or count breaks training
+# later, or silently) and their minimum; any other integer must be >= 0.
+_MINIMUM = {"batch_size": 2, "hidden_width": 1, "lse_dim": 1, "lte_dim": 1,
+            "buffer_capacity": 1, "eval_episodes": 1}
+
+
 def _check_field(f: dataclasses.Field, value, where: str) -> None:
     """Type-check one field against its default. Integer fields (counts
-    and seeds) must be >= 0, batch_size >= 2, and lists hold numbers."""
+    and seeds) must be >= 0, those in _MINIMUM at least their minimum,
+    and lists hold numbers."""
     default = f.default_factory() if f.default is dataclasses.MISSING else f.default
     types, name = _expected(default)
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
@@ -101,7 +108,7 @@ def _check_field(f: dataclasses.Field, value, where: str) -> None:
         raise ConfigurationError(f"{where}.{f.name} must be a list of numbers, "
                                  f"got {value!r}")
     count = default is None or type(default) is int
-    minimum = 2 if f.name == "batch_size" else 0
+    minimum = _MINIMUM.get(f.name, 0)
     if count and value is not None and value < minimum:
         raise ConfigurationError(f"{where}.{f.name} must be >= {minimum}, got {value}")
 

@@ -11,6 +11,16 @@ Each network keeps its parameters in one float64 buffer, `flat`, and
 its arrays are views into it (see carve). Gradients and Adam moments are
 vectors in the same layout, so Adam, Polyak averaging and the finiteness
 check are one elementwise operation per network.
+
+Each network also owns a workspace that its passes reuse, so a training
+step allocates no (rows, hidden width) temporary: the forward pass writes
+its hidden activations into buffers sized for the latest row count, and
+the backward pass its intermediate gradients into two scratch buffers.
+The rule that follows: a forward cache is valid until the next forward
+pass of the same network; backward only reads it, never consumes it; and
+a backward pass on a stale cache raises InternalError. Network outputs
+and input gradients are always fresh arrays. The package starts no
+threads, and a network must not run passes from two threads at once.
 """
 
 from __future__ import annotations
@@ -67,6 +77,28 @@ class Mlp:
         self.dims = list(dims)
         self.flat, arrays = carve(shapes_of([self.dims]), flat)
         self.weights, self.biases = arrays[0::2], arrays[1::2]
+        self.forwards = 0     # forward passes run; only the latest one's cache is valid
+        self._rows = None     # the row count the workspace below is sized for
+        self._hidden = []     # one (rows, width) activation buffer per hidden layer
+        self._scratch = None  # two backward buffers of rows * (widest hidden layer)
+
+    def _activations(self, rows: int) -> list[np.ndarray]:
+        """The hidden-layer buffers for a forward pass of `rows` rows,
+        reallocated (with no backward scratch) when the row count changes."""
+        if rows != self._rows:
+            self._rows = rows
+            self._hidden = [np.empty((rows, width)) for width in self.dims[1:-1]]
+            self._scratch = None
+        return self._hidden
+
+    def _backward_buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two distinct (rows, width) scratch arrays for a hidden layer of
+        this width, carved from buffers allocated on the first backward pass."""
+        if self._scratch is None:
+            self._scratch = np.empty((2, self._rows * max(self.dims[1:-1])))
+        n = self._rows * width
+        return (self._scratch[0, :n].reshape(self._rows, width),
+                self._scratch[1, :n].reshape(self._rows, width))
 
 
 def init_uniform(weights: list[np.ndarray], rng) -> None:
@@ -86,16 +118,19 @@ def mlp_init(dims: list[int], rng) -> Mlp:
 
 @dataclass
 class MlpCache:
-    """Per-layer activations from a forward pass, consumed by backward."""
+    """Per-layer activations from a forward pass, read by backward. The
+    hidden ones live in the network's workspace, so the cache is valid
+    only until that network's next forward pass."""
 
     dims: list[int]
     inputs: list[np.ndarray]   # input to each layer, 2-d (batch, features)
     post: list[np.ndarray]     # post-activation output of each layer
     was_1d: bool
+    forward: int               # the network's forward counter after this pass
 
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
-    """Evaluate the network; returns output and the cache for backward."""
+    """Evaluate the network; returns a fresh output and the cache for backward."""
     x = np.asarray(x, dtype=np.float64)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
@@ -104,43 +139,57 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
             f"input has {h.shape[-1]} features, first layer expects {mlp.weights[0].shape[1]}"
         )
     inputs, post = [], []
-    last = len(mlp.weights) - 1
-    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+    # The hidden layers, each into its workspace buffer; then the linear output.
+    for w, b, z in zip(mlp.weights, mlp.biases, mlp._activations(h.shape[0])):
         inputs.append(h)
-        z = h @ w.T + b
-        h = z if k == last else np.tanh(z)
+        np.matmul(h, w.T, out=z)
+        z += b
+        h = np.tanh(z, out=z)
         post.append(h)
+    inputs.append(h)
+    h = h @ mlp.weights[-1].T + mlp.biases[-1]
+    post.append(h)
+    mlp.forwards += 1
     out = h[0] if was_1d else h
-    return out, MlpCache(mlp.dims, inputs, post, was_1d)
+    return out, MlpCache(mlp.dims, inputs, post, was_1d, mlp.forwards)
 
 
 def mlp_backward(
     mlp: Mlp, cache: MlpCache, output_grad: np.ndarray, grad: Mlp | None = None
-) -> tuple[Mlp, np.ndarray]:
+) -> tuple[Mlp | None, np.ndarray]:
     """Exact gradients of the forward map.
 
     `output_grad` is dL/d(output); returns the parameter gradient (summed
-    over the batch) as an Mlp, whose flat is one gradient vector, and
-    dL/d(input). The gradient is written into `grad` when given (e.g. a
-    block of a policy's gradient vector), else into a new Mlp.
+    over the batch) and a fresh dL/d(input). The parameter gradient is
+    written into `grad`, an Mlp of the same dims (e.g. a block of a
+    policy's gradient vector); with grad None only the input gradient is
+    computed, and None is returned in its place.
     """
     if cache.dims != mlp.dims:
         raise InternalError("backward cache does not match this network")
+    if cache.forward != mlp.forwards:
+        raise InternalError("backward cache is stale: the network ran a forward pass since")
     g = np.asarray(output_grad, dtype=np.float64)
     if cache.was_1d:
         g = g[None, :]
     if g.shape != cache.post[-1].shape:
         raise InternalError("output_grad shape does not match cached forward output")
-    grad = Mlp(mlp.dims) if grad is None else grad
-    last = len(mlp.weights) - 1
-    dh = g
-    for k in range(last, -1, -1):
-        dz = dh if k == last else dh * (1.0 - cache.post[k] ** 2)
-        np.matmul(dz.T, cache.inputs[k], out=grad.weights[k])
-        np.sum(dz, axis=0, out=grad.biases[k])
-        dh = dz @ mlp.weights[k]
-    dx = dh[0] if cache.was_1d else dh
-    return grad, dx
+    dz = g
+    for k in range(len(mlp.weights) - 1, -1, -1):
+        if grad is not None:
+            np.matmul(dz.T, cache.inputs[k], out=grad.weights[k])
+            np.sum(dz, axis=0, out=grad.biases[k])
+        if k == 0:
+            break
+        # dz <- (dz @ W_k) * (1 - post**2), back through layer k-1's tanh
+        dh, factor = mlp._backward_buffers(mlp.dims[k])
+        np.matmul(dz, mlp.weights[k], out=dh)
+        post = cache.post[k - 1]
+        np.multiply(post, post, out=factor)
+        np.subtract(1.0, factor, out=factor)
+        dz = np.multiply(dh, factor, out=factor)
+    dx = dz @ mlp.weights[0]
+    return grad, dx[0] if cache.was_1d else dx
 
 
 @dataclass
@@ -287,7 +336,7 @@ def finite_difference_check(mlp: Mlp, x: np.ndarray, h: float = 1e-5) -> float:
     Used by the grad-check CLI command and the test suite.
     """
     out, cache = mlp_forward(mlp, x)
-    grad = mlp_backward(mlp, cache, out)[0].flat
+    grad = mlp_backward(mlp, cache, out, Mlp(mlp.dims))[0].flat
     flat = mlp.flat
     worst = 0.0
     for i in range(flat.size):

@@ -254,8 +254,8 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     take1 = (q1v <= q2v).astype(np.float64)
     d_q1out = (-take1 / b)[:, None]
     d_q2out = (-(1.0 - take1) / b)[:, None]
-    _, dx1 = mlp_backward(model.q1, c1, d_q1out, model._q_grads[0])
-    _, dx2 = mlp_backward(model.q2, c2, d_q2out, model._q_grads[1])
+    _, dx1 = mlp_backward(model.q1, c1, d_q1out)  # the input gradient alone
+    _, dx2 = mlp_backward(model.q2, c2, d_q2out)
     sl = slice(model.obs_dim, model.obs_dim + model.action_dim)
     d_action = dx1[:, sl] + dx2[:, sl]
     d_logp = np.full(b, alpha / b)

@@ -2,7 +2,8 @@
 
 Training runs dominate the suite's cost, so every trained model is
 built once per session and cached on disk (keyed by its full config,
-the training code's sources and the checkpoint format version) so
+the training code's sources, the checkpoint format version, and the
+NumPy version and BLAS build) so
 repeated local runs skip retraining.
 Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
 """
@@ -12,6 +13,7 @@ import json
 import os
 import time
 
+import numpy as np
 import pytest
 
 import latent_motor
@@ -44,6 +46,13 @@ SEEDS = (0, 1, 2)
 TRAINING_MODULES = ("nn", "policies", "sac", "replay", "envs", "embedding", "rng")
 
 
+def _numeric_environment() -> dict:
+    """The NumPy version and the BLAS it was built with; a model's bytes
+    may differ under another of either."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
+
+
 def _training_sources_sha256() -> str:
     digest = hashlib.sha256()
     src = os.path.dirname(latent_motor.__file__)
@@ -67,7 +76,7 @@ def _train_cached(kind, family, config, count=None):
     key = hashlib.sha256(json.dumps(
         {"kind": kind, "family": family, "count": count, "config": config.as_dict(),
          "constants": DEFAULT_CONSTANTS.as_dict(), "sources": _training_sources_sha256(),
-         "format": FORMAT_VERSION},
+         "format": FORMAT_VERSION, "numeric": _numeric_environment()},
         sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(CACHE_DIR, f"{key}.ckpt.json")
     if os.path.exists(path):

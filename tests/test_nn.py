@@ -66,7 +66,7 @@ def test_backward_zero_grad_gives_zero():
     rng = np.random.default_rng(1)
     mlp = mlp_init([2, 3, 2], rng)
     out, cache = mlp_forward(mlp, np.ones(2))
-    grads, dx = mlp_backward(mlp, cache, np.zeros_like(out))
+    grads, dx = mlp_backward(mlp, cache, np.zeros_like(out), Mlp(mlp.dims))
     assert np.all(grads.flat == 0)
     assert np.all(dx == 0)
 
@@ -76,7 +76,7 @@ def test_backward_linear_analytic():
     mlp = Mlp([1, 1], np.array([1.7, 0.3]))
     x = np.array([2.5])
     out, cache = mlp_forward(mlp, x)
-    grads, dx = mlp_backward(mlp, cache, np.array([1.0]))
+    grads, dx = mlp_backward(mlp, cache, np.array([1.0]), Mlp(mlp.dims))
     assert grads.weights[0][0, 0] == pytest.approx(2.5, abs=1e-15)
     assert grads.biases[0][0] == pytest.approx(1.0, abs=1e-15)
     assert dx[0] == pytest.approx(1.7, abs=1e-15)
@@ -97,6 +97,94 @@ def test_backward_stale_cache_rejected():
     _, cache = mlp_forward(a, np.zeros(2))
     with pytest.raises(InternalError):
         mlp_backward(b, cache, np.zeros(4))
+
+
+def reference_forward(mlp, x):
+    """The allocating forward expressions the workspace pass replaced."""
+    h = np.atleast_2d(x)
+    inputs, post = [], []
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(h)
+        z = h @ w.T + b
+        h = z if k == len(mlp.weights) - 1 else np.tanh(z)
+        post.append(h)
+    return h, inputs, post
+
+
+def reference_backward(mlp, inputs, post, g):
+    grad = Mlp(mlp.dims)
+    last = len(mlp.weights) - 1
+    dh = np.atleast_2d(g)
+    for k in range(last, -1, -1):
+        dz = dh if k == last else dh * (1.0 - post[k] ** 2)
+        np.matmul(dz.T, inputs[k], out=grad.weights[k])
+        np.sum(dz, axis=0, out=grad.biases[k])
+        dh = dz @ mlp.weights[k]
+    return grad, dh
+
+
+@pytest.mark.parametrize("rows", [None, 3, 256, 300])
+@pytest.mark.parametrize("dims", [[7, 64, 64, 64, 1], [19, 64, 64, 64, 2], [5, 64, 16],
+                                  [4, 9, 3, 6], [3, 2]])
+def test_workspace_pass_bit_identical_to_allocating_reference(dims, rows):
+    # rows None is one 1-d input; the widths include a critic's, the ear
+    # decoder's and encoder's, uneven ones and a single layer
+    rng = np.random.default_rng(len(dims) * 1000 + (rows or 1))
+    mlp = mlp_init(dims, rng)
+    mlp.flat += rng.normal(scale=0.1, size=mlp.flat.size)
+    shape = (dims[0],) if rows is None else (rows, dims[0])
+    for _ in range(2):  # the second pass reuses the first one's workspace
+        x = rng.normal(size=shape)
+        g = rng.normal(size=shape[:-1] + (dims[-1],))
+        out, cache = mlp_forward(mlp, x)
+        ref_out, inputs, post = reference_forward(mlp, x)
+        assert out.tobytes() == (ref_out[0] if rows is None else ref_out).tobytes()
+        grad, dx = mlp_backward(mlp, cache, g, Mlp(dims))
+        ref_grad, ref_dx = reference_backward(mlp, inputs, post, g)
+        assert grad.flat.tobytes() == ref_grad.flat.tobytes()
+        assert dx.tobytes() == (ref_dx[0] if rows is None else ref_dx).tobytes()
+        assert dx.shape == x.shape
+
+
+def test_input_gradient_only_matches_full_backward():
+    rng = np.random.default_rng(8)
+    mlp = mlp_init([10, 64, 64, 64, 1], rng)
+    out, cache = mlp_forward(mlp, rng.normal(size=(256, 10)))
+    g = rng.normal(size=out.shape)
+    none, dx = mlp_backward(mlp, cache, g)
+    _, full_dx = mlp_backward(mlp, cache, g, Mlp(mlp.dims))  # backward leaves the cache valid
+    assert none is None
+    assert dx.tobytes() == full_dx.tobytes()
+
+
+def test_backward_on_a_stale_cache_raises():
+    rng = np.random.default_rng(4)
+    mlp = mlp_init([3, 8, 8, 2], rng)
+    x = rng.normal(size=(5, 3))
+    out, old = mlp_forward(mlp, x)
+    mlp_forward(mlp, x)  # same rows: the old cache's activations are overwritten
+    with pytest.raises(InternalError, match="stale"):
+        mlp_backward(mlp, old, out, Mlp(mlp.dims))
+    _, other_rows = mlp_forward(mlp, x[:2])
+    mlp_forward(mlp, x)
+    with pytest.raises(InternalError, match="stale"):
+        mlp_backward(mlp, other_rows, out[:2])
+
+
+def test_forward_passes_at_one_row_count_reuse_hidden_buffers():
+    rng = np.random.default_rng(6)
+    mlp = mlp_init([3, 8, 5, 2], rng)
+    x = rng.normal(size=(4, 3))
+    out1, c1 = mlp_forward(mlp, x)
+    out2, c2 = mlp_forward(mlp, x)
+    assert all(a is b for a, b in zip(c1.post[:-1], c2.post[:-1]))
+    assert not np.shares_memory(out1, out2)  # outputs are fresh arrays
+    mlp_backward(mlp, c2, out2, Mlp(mlp.dims))
+    scratch = mlp._scratch
+    mlp_backward(mlp, mlp_forward(mlp, x)[1], out2, Mlp(mlp.dims))
+    assert mlp._scratch is scratch
+    _, c3 = mlp_forward(mlp, x[:3])  # a new row count gets new buffers
+    assert c3.post[0].shape == (3, 8) and not np.shares_memory(c3.post[0], c2.post[0])
 
 
 def test_gradients_exact_across_random_configurations():

@@ -3,6 +3,8 @@
 Training-convergence claims live in the acceptance suite; these tests
 pin the mechanics on tiny models."""
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -242,6 +244,23 @@ def test_sac_update_reports_finite_losses():
     rep = sac_update(m, random_batch(m, 16))
     assert np.isfinite([rep.j_q1, rep.j_q2, rep.j_pi, rep.j_alpha, rep.alpha]).all()
     assert not rep.skipped
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts glibc page faults")
+def test_sac_update_at_batch_256_allocates_no_activation_temporaries():
+    # A 256x64 float64 temporary is 128 KiB, glibc's default mmap threshold:
+    # allocated per update, each is mapped and faulted in page by page
+    # (~630-690 minor faults per update without the network workspaces).
+    import resource
+    m = SacModel("ear", make_task_set("vel1d"), TrainConfig(seed=0))
+    batches = [random_batch(m, 256, seed=s) for s in range(13)]
+    for batch in batches[:3]:  # workspaces are built on the first passes
+        sac_update(m, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[3:]:
+        assert not sac_update(m, batch).skipped
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / 10 < 50
 
 
 def update_state(m):

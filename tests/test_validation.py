@@ -71,7 +71,7 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("train", "lr", False, "train.lr must be a number"),
     ("train", "normalize_lte", 1, "train.normalize_lte must be true or false"),
     ("train", "optimization_times", -1, "train.optimization_times must be >= 0"),
-    ("train", "buffer_capacity", -5, "train.buffer_capacity must be >= 0"),
+    ("train", "buffer_capacity", -5, "train.buffer_capacity must be >= 1"),
     ("train", "batch_size", 1, "train.batch_size must be >= 2"),
     ("env", "count", 2.0, "env.count must be an integer or null"),
     ("env", "family", 3, "env.family must be a str"),
@@ -93,6 +93,12 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("train", "seed", -2, "train.seed must be >= 0"),
     (None, "out_dir", 3, "config.out_dir must be a str"),
     (None, "out_dir", None, "config.out_dir must be a str"),
+    # widths and counts that no run can use fail here, not in training
+    ("train", "hidden_width", 0, "train.hidden_width must be >= 1"),
+    ("train", "lse_dim", 0, "train.lse_dim must be >= 1"),
+    ("train", "lte_dim", 0, "train.lte_dim must be >= 1"),
+    ("train", "buffer_capacity", 0, "train.buffer_capacity must be >= 1"),
+    ("train", "eval_episodes", 0, "train.eval_episodes must be >= 1"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
