@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fingerprint training: run six fixed short trainings through the CLI and
-print the sha256 of each run's model.ckpt.json and curves.csv.
+print the sha256 of each run's model.ckpt.json and curves.csv, and of the
+state of the model that loading model.ckpt.json gives.
 
 The runs are ear, ohe and mhmt on vel1d, and ear on dir2d and runjump, all
 with seed 3 and small fixed budgets (a few seconds each) at batch 64, plus
@@ -8,6 +9,13 @@ ear on vel1d at the default batch of 256, the size at which each hidden
 activation of a training step is a 256x64 array. Two source trees
 that print the same lines train bit for bit the same, so running this
 before and after a refactor of the training path is its proof.
+
+The "model state" line hashes what a checkpoint stores, read back through
+the package's own loader: every network's flat parameter buffer, each
+Adam optimizer's moments and step count, log_alpha, and the states of
+the init, env, policy, noise and batch RNG streams. It does not depend on
+the file format, so across a format change the state and curves.csv
+lines must stay equal while the model.ckpt.json line may not.
 
     python3 scripts/run_digest.py              # outputs go to a temp dir
     python3 scripts/run_digest.py --out runs/digest
@@ -22,6 +30,9 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+import numpy as np
+
+from latent_motor.checkpoint import load_checkpoint
 from latent_motor.cli import main as cli_main
 
 TRAIN = {"pretrain_epochs": 2, "train_epochs": 3, "optimization_times": 25,
@@ -45,6 +56,21 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def state_sha256(path: str) -> str:
+    """sha256 of the state of the model loaded from the checkpoint at path."""
+    model = load_checkpoint(path)
+    digest = hashlib.sha256()
+    arrays = [model.policy.flat, model.q1.flat, model.q2.flat, model.q1_target.flat,
+              model.q2_target.flat, model.log_alpha]
+    for opt in (model.opt_policy, model.opt_q1, model.opt_q2, model.opt_alpha):
+        arrays += [opt.m, opt.v, np.array(float(opt.step))]
+    for a in arrays:
+        digest.update(np.asarray(a, dtype="<f8").tobytes())
+    for name in ("init", "env", "policy", "noise", "batch"):
+        digest.update(json.dumps(model.rngs.get(name).state(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
 def run_all(root: str) -> int:
     for name, (command, env, train) in RUNS.items():
         out = os.path.join(root, name)
@@ -59,6 +85,8 @@ def run_all(root: str) -> int:
             return code
         for artifact in ("model.ckpt.json", "curves.csv"):
             print(f"{name:14s} {artifact:16s} {sha256(os.path.join(out, artifact))}")
+        print(f"{name:14s} {'model state':16s} "
+              f"{state_sha256(os.path.join(out, 'model.ckpt.json'))}")
     return 0
 
 

@@ -6,12 +6,16 @@ trailing newline, no NaN or Infinity). Every float array is one object
 order>"}; scalars, configs, task specs and the RNG state stay plain JSON.
 The raw bytes make load(save(model)) bit-identical and re-saving
 byte-identical, and parsing a few base64 strings is far cheaper than
-parsing every element as a decimal. Loading decodes each array into the
-freshly built model through one helper that checks its shape and that
-every entry is finite, then re-validates the embedding invariants.
+parsing every element as a decimal.
 
-In memory a network and each Adam moment is one flat buffer; the file
-keeps one field per array, splitting moments with the network's layout.
+The file uses the in-memory layout: each network is one flat parameter
+buffer (the top-level fields policy, q1, q2, q1_target and q2_target),
+and each optimizer under "adam" is its two flat moments and its step
+count. The layout inside a buffer follows from the stored config, which
+rebuilds the model. Loading decodes every array into that fresh model
+through one helper that checks its shape and that every entry is
+finite, then re-validates the Adam moments and steps and the embedding
+invariants.
 """
 
 from __future__ import annotations
@@ -24,11 +28,10 @@ import numpy as np
 
 from .envs import EnvConstants, TaskSpec
 from .errors import CheckpointError
-from .nn import AdamState, Mlp, carve, shapes_of
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -53,77 +56,16 @@ def _decode(payload, dst: np.ndarray, name: str) -> None:
     np.copyto(dst, src)
 
 
-def _networks(model: SacModel) -> dict:
-    """The model's networks and policy arrays, nested as the checkpoint stores them."""
-    p = model.policy
-    if model.kind == "ear":
-        policy = {"encoder": p.encoder, "decoder": p.decoder,
-                  "task_encoder": {"weight": p.task_encoder.weight, "bias": p.task_encoder.bias}}
-    elif model.kind == "ohe":
-        policy = {"net": p.net}
-    else:
-        policy = {"head_w": p.head_w, "head_b": p.head_b, "trunk": p.trunk}
-    return {"policy": policy, "q1": model.q1, "q2": model.q2,
-            "q1_target": model.q1_target, "q2_target": model.q2_target}
+def _buffers(model: SacModel) -> dict:
+    """The model's parameter buffers, by the top-level field that stores each."""
+    return {"policy": model.policy.flat, "q1": model.q1.flat, "q2": model.q2.flat,
+            "q1_target": model.q1_target.flat, "q2_target": model.q2_target.flat}
 
 
-def _adam_states(model: SacModel) -> dict:
-    """Each optimizer, with the layout of the parameters it moves."""
-    return {"policy": (model.opt_policy, model.policy.layout),
-            "q1": (model.opt_q1, [model.q1.dims]), "q2": (model.opt_q2, [model.q2.dims]),
-            "alpha": (model.opt_alpha, [()])}
-
-
-def _store(part):
-    """Encode an array, or a list, dict or Mlp of them."""
-    if isinstance(part, Mlp):
-        return {"dims": part.dims, "weights": _store(part.weights),
-                "biases": _store(part.biases)}
-    if isinstance(part, dict):
-        return {key: _store(sub) for key, sub in part.items()}
-    if isinstance(part, list):
-        return [_store(a) for a in part]
-    return _encode(part)
-
-
-def _restore(part, payload, name: str) -> None:
-    """Decode payload into the arrays of part, which _store encoded."""
-    if isinstance(part, Mlp):
-        if payload["dims"] != part.dims:
-            raise CheckpointError(
-                f"{name} dims {payload['dims']} do not match expected {part.dims}")
-        _restore(part.weights, payload["weights"], f"{name}.weights")
-        _restore(part.biases, payload["biases"], f"{name}.biases")
-    elif isinstance(part, dict):
-        for key, sub in part.items():
-            _restore(sub, payload[key], f"{name}.{key}")
-    elif isinstance(part, list):
-        if not isinstance(payload, list) or len(payload) != len(part):
-            raise CheckpointError(f"{name} must hold {len(part)} arrays")
-        for k, (sub, data) in enumerate(zip(part, payload)):
-            _restore(sub, data, f"{name}[{k}]")
-    else:
-        _decode(payload, part, name)
-
-
-def _adam_payload(st: AdamState, layout: list) -> dict:
-    return {
-        "m": _store(carve(shapes_of(layout), st.m)[1]),
-        "v": _store(carve(shapes_of(layout), st.v)[1]),
-        "step": st.step, "lr": st.lr, "beta1": st.beta1, "beta2": st.beta2, "eps": st.eps,
-    }
-
-
-def _adam_restore(st: AdamState, layout: list, payload: dict, name: str) -> None:
-    _restore(carve(shapes_of(layout), st.m)[1], payload["m"], f"{name}.m")
-    _restore(carve(shapes_of(layout), st.v)[1], payload["v"], f"{name}.v")
-    if np.any(st.v < 0):
-        raise CheckpointError(f"{name}: second moments must be non-negative")
-    st.step = int(payload["step"])
-    st.lr = float(payload["lr"])
-    st.beta1 = float(payload["beta1"])
-    st.beta2 = float(payload["beta2"])
-    st.eps = float(payload["eps"])
+def _optimizers(model: SacModel) -> dict:
+    """The model's Adam states, by their key under "adam"."""
+    return {"policy": model.opt_policy, "q1": model.opt_q1, "q2": model.opt_q2,
+            "alpha": model.opt_alpha}
 
 
 def checkpoint_payload(model: SacModel) -> dict:
@@ -134,11 +76,11 @@ def checkpoint_payload(model: SacModel) -> dict:
         "tasks": [t.as_dict() for t in model.tasks],
         "constants": model.constants.as_dict(),
         "config": model.config.as_dict(),
-        **_store(_networks(model)),
+        **{name: _encode(flat) for name, flat in _buffers(model).items()},
         "log_alpha": float(model.log_alpha),
         "target_entropy": model.target_entropy,
-        "adam": {name: _adam_payload(st, layout)
-                 for name, (st, layout) in _adam_states(model).items()},
+        "adam": {name: {"m": _encode(st.m), "v": _encode(st.v), "step": st.step}
+                 for name, st in _optimizers(model).items()},
         "rng": model.rngs.state(),
     }
     if model.kind == "ear":
@@ -185,12 +127,21 @@ def load_checkpoint(path: str) -> SacModel:
         constants = EnvConstants(**payload["constants"])
         config = TrainConfig(**payload["config"])
         model = SacModel(payload["kind"], tasks, config, constants)
-        for key, part in _networks(model).items():
-            _restore(part, payload[key], key)
+        for name, flat in _buffers(model).items():
+            _decode(payload[name], flat, name)
         model.log_alpha[...] = float(payload["log_alpha"])
         model.target_entropy = float(payload["target_entropy"])
-        for name, (st, layout) in _adam_states(model).items():
-            _adam_restore(st, layout, payload["adam"][name], f"adam.{name}")
+        for name, st in _optimizers(model).items():
+            stored = payload["adam"][name]
+            _decode(stored["m"], st.m, f"adam.{name}.m")
+            _decode(stored["v"], st.v, f"adam.{name}.v")
+            if np.any(st.v < 0):
+                raise CheckpointError(f"adam.{name}: second moments must be non-negative")
+            # bool is an int subclass; JSON true must not load as step 1
+            if type(stored["step"]) is not int or stored["step"] < 0:
+                raise CheckpointError(
+                    f"adam.{name}.step must be an integer >= 0, got {stored['step']!r}")
+            st.step = stored["step"]
         model.rngs = RngStreams.from_state(payload["rng"])
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])

@@ -192,6 +192,12 @@ def mlp_backward(
     return grad, dx[0] if cache.was_1d else dx
 
 
+# Adam's fixed constants (Kingma & Ba, 2015); only the learning rate is configurable.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, each shaped like the parameter
@@ -201,15 +207,10 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params: np.ndarray, lr: float = 3e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params),
-                     step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(params: np.ndarray, lr: float = 3e-4) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), lr=lr)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -223,14 +224,14 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("non-finite gradient entry")
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
+    b1c = 1.0 - ADAM_BETA1 ** state.step
+    b2c = 1.0 - ADAM_BETA2 ** state.step
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grad * grad
-    params -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 @dataclass

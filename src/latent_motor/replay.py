@@ -15,7 +15,6 @@ class Batch:
     action: np.ndarray
     reward: np.ndarray
     next_obs: np.ndarray
-    truncated: np.ndarray
     task_id: np.ndarray
     # Physical termination mask for the bootstrap target. The toy
     # environments never terminate physically, so it stays all-False
@@ -41,7 +40,6 @@ class ReplayBuffer:
         self.action = np.zeros((capacity, action_dim))
         self.reward = np.zeros(capacity)
         self.next_obs = np.zeros((capacity, obs_dim))
-        self.truncated = np.zeros(capacity, dtype=bool)
         self.task_id = np.zeros(capacity, dtype=np.int64)
         self.size = 0
         self.head = 0
@@ -49,7 +47,7 @@ class ReplayBuffer:
     def __len__(self):
         return self.size
 
-    def add(self, obs, action, reward, next_obs, truncated, task_id) -> None:
+    def add(self, obs, action, reward, next_obs, task_id) -> None:
         """Append K transitions given as row-aligned arrays, oldest first.
 
         Past capacity the oldest rows are overwritten, so the buffer ends
@@ -63,7 +61,6 @@ class ReplayBuffer:
         self.action[idx] = action[skip:]
         self.reward[idx] = reward[skip:]
         self.next_obs[idx] = next_obs[skip:]
-        self.truncated[idx] = truncated[skip:]
         self.task_id[idx] = task_id[skip:]
         self.head = (self.head + k) % self.capacity
         self.size = min(self.size + k, self.capacity)
@@ -74,6 +71,5 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         return Batch(
             obs=self.obs[idx], action=self.action[idx], reward=self.reward[idx],
-            next_obs=self.next_obs[idx], truncated=self.truncated[idx],
-            task_id=self.task_id[idx],
+            next_obs=self.next_obs[idx], task_id=self.task_id[idx],
         )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CheckpointError
+
 # Stable integer ids; order and values are part of the checkpoint format.
 STREAM_IDS = {
     "init": 1,
@@ -22,7 +24,6 @@ STREAM_IDS = {
     "policy": 3,
     "noise": 4,
     "batch": 5,
-    "cem": 6,
 }
 
 _EVAL_ROOT = 7
@@ -97,9 +98,15 @@ class RngStreams:
 
     @classmethod
     def from_state(cls, payload: dict) -> "RngStreams":
+        """Streams restored from state(); it must hold exactly the STREAM_IDS names."""
         out = cls(payload["seed"])
-        for name, st in payload["streams"].items():
-            out.streams[name].restore(st)
+        names = set(payload["streams"])
+        if names != set(STREAM_IDS):
+            raise CheckpointError(
+                f"rng streams must be {sorted(STREAM_IDS)}: missing "
+                f"{sorted(set(STREAM_IDS) - names)}, unknown {sorted(names - set(STREAM_IDS))}")
+        for name in STREAM_IDS:
+            out.streams[name].restore(payload["streams"][name])
         return out
 
 

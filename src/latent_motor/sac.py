@@ -2,8 +2,8 @@
 
 The trainer follows a two-phase loop: a pretraining phase that fills the
 replay buffer with one episode per task per epoch, then training epochs
-that (by default) keep collecting one episode per task before running a
-fixed number of gradient steps on uniformly sampled batches.
+that each collect one more episode per task before running a fixed
+number of gradient steps on uniformly sampled batches.
 
 Per update step:
   * both critics regress onto y = r + gamma * (min target Q - alpha*logp')
@@ -64,8 +64,6 @@ class TrainConfig:
     lse_dim: int = 16
     lte_dim: int = 3
     normalize_lte: bool = True
-    noise_in_collection: bool = True
-    collect_each_epoch: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -287,7 +285,7 @@ def _collect(model: SacModel, buffer: ReplayBuffer) -> None:
     vec = VecRollout(model.tasks, model.constants)
     obs = vec.reset(model.rngs.get("env"))
     ids = np.arange(model.n_tasks)
-    noisy = cfg.noise_in_collection and model.kind == "ear" and cfg.sigma_noise > 0
+    noisy = model.kind == "ear" and cfg.sigma_noise > 0
     for _ in range(model.constants.max_episode_frames):
         lte_noise = None
         if noisy:
@@ -295,8 +293,8 @@ def _collect(model: SacModel, buffer: ReplayBuffer) -> None:
                 (model.n_tasks, cfg.lte_dim)) * cfg.sigma_noise
         samp = model.rngs.get("policy").standard_normal((model.n_tasks, model.action_dim))
         action, _, _ = model.policy.forward_train(obs, ids, lte_noise, samp)
-        next_obs, rewards, truncated = vec.step(action)
-        buffer.add(obs, action, rewards, next_obs, np.full(model.n_tasks, truncated), ids)
+        next_obs, rewards, _ = vec.step(action)
+        buffer.add(obs, action, rewards, next_obs, ids)
         obs = next_obs
 
 
@@ -461,8 +459,7 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
         _collect(model, buffer)
     curves: list[CurvePoint] = []
     for epoch in range(config.train_epochs):
-        if config.collect_each_epoch:
-            _collect(model, buffer)
+        _collect(model, buffer)
         losses = []
         for _ in range(config.optimization_times):
             batch = buffer.sample(config.batch_size, model.rngs.get("batch"))

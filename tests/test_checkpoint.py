@@ -16,6 +16,7 @@ from latent_motor.checkpoint import (
 )
 from latent_motor.envs import make_task_set
 from latent_motor.errors import CheckpointError
+from latent_motor.nn import carve, shapes_of
 from latent_motor.sac import SacModel, TrainConfig, evaluate_policy, sac_update
 from latent_motor.replay import Batch
 
@@ -28,7 +29,7 @@ def small_model(kind="ear", seed=0):
     batch = Batch(
         obs=rng.normal(size=(8, 1)), action=rng.uniform(-1, 1, (8, 1)),
         reward=rng.normal(size=8), next_obs=rng.normal(size=(8, 1)),
-        truncated=np.zeros(8, bool), task_id=rng.integers(0, 3, 8),
+        task_id=rng.integers(0, 3, 8),
     )
     for _ in range(3):
         sac_update(model, batch)
@@ -53,23 +54,37 @@ def saved_doc(tmp_path, kind="ear"):
     return path, json.loads(open(path).read())
 
 
-def keys(field):
-    """Keys of a dotted path with [k] list indices, e.g. "q1.biases[0]"."""
-    parts = field.replace("[", ".").replace("]", "").split(".")
-    return [int(p) if p.isdigit() else p for p in parts]
-
-
-def get_field(doc, field):
-    for key in keys(field):
-        doc = doc[key]
-    return doc
-
-
 def replace_field(doc, field, value):
-    *head, last = keys(field)
+    """Set a dotted field such as "adam.q2.v"; value None deletes it."""
+    *head, last = field.split(".")
     for key in head:
         doc = doc[key]
-    doc[last] = value
+    if value is None:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+def with_bad_entry(model, block, bad):
+    """(field, stored array): the stored flat array that holds the named
+    parameter block, with the block's last entry set to bad. A policy
+    block is named as the model holds it, e.g. "policy.encoder.weights[0]"
+    (the model is changed too); "adam.q1.v[1]" is array 1 of q1's second
+    moment, in q1's layout."""
+    head, _, index = block.rstrip("]").partition("[")
+    if head.startswith("adam."):
+        _, name, moment = head.split(".")
+        layout = {"policy": model.policy.layout, "alpha": [()]}.get(name, [model.q1.dims])
+        flat = getattr(getattr(model, f"opt_{name}"), moment).copy()
+        carve(shapes_of(layout), flat)[1][int(index)].reshape(-1)[-1] = bad
+        return head, flat
+    target = model
+    for attr in head.split("."):
+        target = getattr(target, attr)
+    if index:
+        target = target[int(index)]
+    target.reshape(-1)[-1] = bad  # a view into model.policy.flat
+    return "policy", model.policy.flat.copy()
 
 
 @pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
@@ -139,12 +154,12 @@ def test_tampered_embedding_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("field,stored", [
-    # a one-element bias must not be broadcast to the whole layer
-    ("q1.biases[0]", [0.25]),
-    ("q1_target.weights[1]", np.zeros((8, 4))),
+    # a one-element buffer must not be broadcast to the whole network
+    ("q1", [0.25]),
+    ("q1_target", np.zeros((8, 4))),
     # second moments are shape-checked like first moments; alpha's are 0-d
-    ("adam.q2.v[2]", np.ones(3)),
-    ("adam.alpha.m[0]", [0.0]),
+    ("adam.q2.v", np.ones(3)),
+    ("adam.alpha.m", [0.0]),
     ("lte_set", np.ones((2, 3))),
 ])
 def test_wrong_shaped_array_rejected(tmp_path, field, stored):
@@ -169,29 +184,57 @@ def test_wrong_shaped_array_rejected(tmp_path, field, stored):
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_array_rejected(tmp_path, kind, field, bad):
-    path, doc = saved_doc(tmp_path, kind)
-    arr = decode(get_field(doc, field))
-    arr.flat[-1] = bad
-    replace_field(doc, field, encode(arr))
+    # field names a block inside a stored flat array: the check must cover
+    # every block of the buffer, not only its first or last entries
+    path = str(tmp_path / "m.ckpt.json")
+    model = small_model(kind)
+    save_checkpoint(model, path)
+    doc = json.loads(open(path).read())
+    stored, arr = with_bad_entry(model, field, bad)
+    replace_field(doc, stored, encode(arr))
     open(path, "w").write(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="non-finite entries"):
+    with pytest.raises(CheckpointError, match=re.escape(stored) + " has non-finite entries"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("stored,fragment", [
-    ({"shape": [4], "f8": "not base64!"}, "malformed array q1.biases[0]"),
+    ({"shape": [4], "f8": "not base64!"}, "malformed array q1"),
     ({"shape": [3], "f8": base64.b64encode(bytes(32)).decode()}, "cannot reshape"),
     ({"shape": [4], "f8": base64.b64encode(bytes(31)).decode()}, "multiple of element size"),
     ({"f8": base64.b64encode(bytes(32)).decode()}, "'shape'"),
-    ([0.0, 0.0, 0.0, 0.0], "malformed array q1.biases[0]"),
+    ([0.0, 0.0, 0.0, 0.0], "malformed array q1"),
+    (None, "malformed checkpoint field: 'q1'"),  # the field is missing
 ])
 def test_malformed_array_rejected(tmp_path, stored, fragment):
     path, doc = saved_doc(tmp_path)
-    doc["q1"]["biases"][0] = stored
+    replace_field(doc, "q1", stored)
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("step", [-5, 1.7, True, "4"])
+def test_bad_adam_step_rejected(tmp_path, step):
+    path, doc = saved_doc(tmp_path)
+    doc["adam"]["q1"]["step"] = step
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"adam.q1.step must be an integer >= 0, got {step!r}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (lambda streams: streams.pop("batch"), "missing ['batch'], unknown []"),
+    (lambda streams: streams.update(cem=streams["env"]), "missing [], unknown ['cem']"),
+])
+def test_rng_streams_must_match(tmp_path, edit, fragment):
+    # a missing stream must not be replaced by a freshly seeded one
+    path, doc = saved_doc(tmp_path)
+    edit(doc["rng"]["streams"])
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=re.escape(fragment)):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("field", ["log_alpha", "target_entropy"])
@@ -200,14 +243,6 @@ def test_non_finite_scalar_rejected(tmp_path, field):
     doc[field] = float("nan")
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match="non-finite temperature or target entropy"):
-        load_checkpoint(path)
-
-
-def test_missing_array_in_a_list_rejected(tmp_path):
-    path, doc = saved_doc(tmp_path)
-    doc["adam"]["policy"]["v"].pop()
-    open(path, "w").write(json.dumps(doc))
-    with pytest.raises(CheckpointError, match=r"adam.policy.v must hold \d+ arrays"):
         load_checkpoint(path)
 
 
@@ -221,11 +256,14 @@ def test_non_finite_refused_on_save(tmp_path):
 def test_payload_floats_survive_json_exactly():
     model = small_model()
     rt = json.loads(dump_bytes(checkpoint_payload(model)).decode())
-    for stored, array in [(rt["q1"]["weights"][0], model.q1.weights[0]),
-                          (rt["adam"]["alpha"]["v"][0], model.opt_alpha.v),
+    for stored, array in [(rt["q1"], model.q1.flat), (rt["policy"], model.policy.flat),
+                          (rt["adam"]["policy"]["m"], model.opt_policy.m),
+                          (rt["adam"]["alpha"]["v"], model.opt_alpha.v),
                           (rt["lte_set"], model.lte_set())]:
         assert stored["shape"] == list(array.shape)
         assert decode(stored).tobytes() == np.asarray(array, "<f8").tobytes()
+    # the stored config sets every hyperparameter; the optimizers keep only state
+    assert all(set(opt) == {"m", "v", "step"} for opt in rt["adam"].values())
 
 
 def test_file_sha256_changes_with_content(tmp_path):

@@ -38,11 +38,19 @@ def test_state_round_trip_continues_sequence():
 def test_state_is_json_like():
     import json
     s = RngStreams(3)
-    s.get("cem").standard_normal(7)
+    s.get("batch").standard_normal(7)
     text = json.dumps(s.state())
     restored = RngStreams.from_state(json.loads(text))
-    assert np.array_equal(restored.get("cem").standard_normal(3),
-                          s.get("cem").standard_normal(3))
+    assert np.array_equal(restored.get("batch").standard_normal(3),
+                          s.get("batch").standard_normal(3))
+
+
+def test_each_stream_seeded_from_seed_and_id_alone():
+    # removing or adding a stream changes no other stream's draws
+    for name, sid in (("init", 1), ("batch", 5)):
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence([3, sid])))
+        assert np.array_equal(RngStreams(3).get(name).standard_normal(4),
+                              ref.standard_normal(4))
 
 
 def test_eval_generator_stateless():

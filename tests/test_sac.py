@@ -49,7 +49,6 @@ def random_batch(model, n=16, seed=0):
         action=rng.uniform(-1, 1, size=(n, model.action_dim)),
         reward=rng.normal(size=n),
         next_obs=rng.normal(size=(n, model.obs_dim)),
-        truncated=np.zeros(n, dtype=bool),
         task_id=rng.integers(0, model.n_tasks, size=n),
     )
 
@@ -59,8 +58,7 @@ def random_batch(model, n=16, seed=0):
 def buffer_rows(values):
     """K transitions whose fields all encode the given values."""
     v = np.asarray(values, dtype=np.float64)
-    return (v[:, None], -v[:, None], v, 2 * v[:, None],
-            v.astype(np.int64) % 2 == 1, v.astype(np.int64) % 3)
+    return v[:, None], -v[:, None], v, 2 * v[:, None], v.astype(np.int64) % 3
 
 
 def test_buffer_fifo_capacity():
@@ -88,8 +86,8 @@ def test_buffer_k_row_add_matches_per_row_adds():
         buf.add(*buffer_rows(values))
         assert (buf.head, buf.size) == (ref["head"], ref["size"])
         assert np.array_equal(buf.reward, ref["reward"])
-        for field, rows in zip(("obs", "action", "reward", "next_obs", "truncated",
-                                "task_id"), buffer_rows(buf.reward)):
+        for field, rows in zip(("obs", "action", "reward", "next_obs", "task_id"),
+                               buffer_rows(buf.reward)):
             assert np.array_equal(getattr(buf, field), rows)
 
 
@@ -216,19 +214,6 @@ def test_q_target_uses_min_of_targets():
     assert np.all(y < 0.99 * 5.0)
     a2_lp = (y / 0.99) - 3.0  # equals -alpha*logp'
     assert np.all(np.isfinite(a2_lp))
-
-
-def test_q_target_bootstraps_through_truncation():
-    m = tiny_model()
-    batch = random_batch(m, 4)
-    batch.truncated = np.ones(4, dtype=bool)
-    y_trunc = q_target(m, batch)
-    # identical stream state: rebuild model to compare against untruncated
-    m2 = tiny_model()
-    batch2 = random_batch(m2, 4)
-    batch2.truncated = np.zeros(4, dtype=bool)
-    y_free = q_target(m2, batch2)
-    assert np.array_equal(y_trunc, y_free)
 
 
 # --- sac_update ---
@@ -382,12 +367,12 @@ def test_target_update_is_convex_combination():
 # --- training loop ---
 
 def test_pretrain_fills_buffer_exactly():
-    # default pretrain depth: 20 epochs x N tasks x 200 frames
-    cfg = tiny_config(pretrain_epochs=20, train_epochs=1, optimization_times=1,
-                      collect_each_epoch=False)
+    # default pretrain depth, then one more collection per training epoch:
+    # (20 + 1) epochs x N tasks x 200 frames
+    cfg = tiny_config(pretrain_epochs=20, train_epochs=1, optimization_times=1)
     tasks = make_task_set("vel1d", count=2)
     model, _ = train(cfg, tasks)
-    assert len(model.buffer) == 20 * 2 * 200
+    assert len(model.buffer) == (20 + 1) * 2 * 200
 
 
 def test_curve_length_equals_train_epochs():

@@ -88,8 +88,7 @@ def test_full_update_matches_straight_line_oracle():
     a = np.tile(rng.uniform(-1, 1, (1, 1)), (2, 1))
     r = np.full(2, 0.7)
     s2 = np.tile(rng.normal(size=(1, 1)), (2, 1))
-    batch = Batch(obs=s, action=a, reward=r, next_obs=s2,
-                  truncated=np.ones(2, bool), task_id=np.zeros(2, np.int64))
+    batch = Batch(obs=s, action=a, reward=r, next_obs=s2, task_id=np.zeros(2, np.int64))
 
     # Replay the exact draws the update will consume.
     streams = RngStreams.from_state(model.rngs.state())
