@@ -2,8 +2,10 @@
 
 A checkpoint is canonical JSON (sorted keys, compact separators, one
 trailing newline, no NaN or Infinity). Every float array is one object
-{"shape": [...], "f8": "<base64 of its little-endian float64 bytes in C
-order>"}; scalars, configs, task specs and the RNG state stay plain JSON.
+{"shape": [...], "f4"|"f8": "<base64 of its little-endian bytes in C
+order>"} in the dtype the model holds it in (float32 networks and moments,
+float64 temperature moments and embedding set); scalars, configs, task
+specs and the RNG state stay plain JSON.
 The raw bytes make load(save(model)) bit-identical and re-saving
 byte-identical, and parsing a few base64 strings is far cheaper than
 parsing every element as a decimal.
@@ -13,9 +15,9 @@ buffer (the top-level fields policy, q1, q2, q1_target and q2_target),
 and each optimizer under "adam" is its two flat moments and its step
 count. The layout inside a buffer follows from the stored config, which
 rebuilds the model. Loading decodes every array into that fresh model
-through one helper that checks its shape and that every entry is
-finite, then re-validates the Adam moments and steps and the embedding
-invariants.
+through one helper that checks its dtype key, its shape and that every
+entry is finite, then re-validates the Adam moments and steps and the
+embedding invariants.
 """
 
 from __future__ import annotations
@@ -31,22 +33,25 @@ from .errors import CheckpointError
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
+_KEYS = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}  # the stored dtype
 
 
 def _encode(a: np.ndarray) -> dict:
     # no ascontiguousarray: it would turn the 0-d temperature moments 1-d
-    a = np.asarray(a, dtype="<f8")
+    key = _KEYS[a.dtype]
+    a = np.asarray(a, dtype="<" + key)
     if not np.all(np.isfinite(a)):
         raise CheckpointError(f"refusing to serialize non-finite array of shape {list(a.shape)}")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"shape": list(a.shape), key: base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def _decode(payload, dst: np.ndarray, name: str) -> None:
-    """Copy an encoded array into dst after checking its shape and values."""
+    """Copy an encoded array into dst after checking its dtype, shape and values."""
+    key = _KEYS[dst.dtype]
     try:
-        raw = base64.b64decode(payload["f8"], validate=True)
-        src = np.frombuffer(raw, dtype="<f8").reshape(payload["shape"])
+        raw = base64.b64decode(payload[key], validate=True)
+        src = np.frombuffer(raw, dtype="<" + key).reshape(payload["shape"])
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise CheckpointError(f"malformed array {name}: {exc}") from exc
     if src.shape != dst.shape:

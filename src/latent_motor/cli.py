@@ -3,8 +3,9 @@
 Every subcommand reads an optional JSON experiment config, honors
 --seed (flag > LATENT_MOTOR_SEED env var > config), writes its artifacts
 into one output directory together with a manifest that pins the
-command, config hash, checkpoint hash, and versions. Exit codes: 0 ok,
-1 runtime failure (single machine-parsable line on stderr), 2 usage.
+command, config hash, checkpoint hash, versions and numeric environment.
+Exit codes: 0 ok, 1 runtime failure (single machine-parsable line on
+stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, nn
 from .analysis import (
     compose,
     evaluate_sphere,
@@ -84,8 +85,18 @@ def write_manifest(out_dir: str, args, cfg_path: str | None, ckpt_path: str | No
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
+        "numeric": _numeric_environment(),
     }
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _numeric_environment() -> dict:
+    """What a run's bits may depend on beyond the package and NumPy versions."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": blas.get("name"), "blas_version": blas.get("version"),
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+            "nproc": os.cpu_count(), "libc": " ".join(platform.libc_ver()).strip(),
+            "network_dtype": np.dtype(nn.DTYPE).name}
 
 
 def _resolve(args) -> ExperimentConfig:

@@ -1,16 +1,20 @@
 """Dense network engine: fixed-topology MLPs with exact reverse-mode
 gradients, Adam, and a tanh-squashed Gaussian policy head.
 
-Everything is float64 and deliberately minimal: hidden layers use tanh,
-the output layer is linear, and the backward pass is written by hand so
-it can be checked against central finite differences. There is no
-autodiff graph; the only differentiable composite beyond a plain MLP is
-the squashed-Gaussian sampler, whose backward is also explicit.
+Everything is deliberately minimal: hidden layers use tanh, the output
+layer is linear, and the backward pass is written by hand so it can be
+checked against central finite differences. There is no autodiff graph;
+the only differentiable composite beyond a plain MLP is the
+squashed-Gaussian sampler, whose backward is also explicit.
 
-Each network keeps its parameters in one float64 buffer, `flat`, and
-its arrays are views into it (see carve). Gradients and Adam moments are
-vectors in the same layout, so Adam, Polyak averaging and the finiteness
-check are one elementwise operation per network.
+Each network keeps its parameters in one buffer, `flat`, and its arrays
+are views into it (see carve). Gradients and Adam moments are vectors in
+the same layout, so Adam, Polyak averaging and the finiteness check are
+one elementwise operation per network.
+
+Buffers are float32 (DTYPE). A pass computes in its network's dtype, the
+sampler in its head's, casting inputs once on entry, so a float64 network
+runs the same code (finite_difference_check uses one).
 
 Each network also owns a workspace that its passes reuse, so a training
 step allocates no (rows, hidden width) temporary: the forward pass writes
@@ -35,9 +39,12 @@ from .errors import ConfigurationError, InternalError, NonFiniteGradient
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 
-# Largest double strictly below 1; keeps sampled actions inside (-1, 1)
+# The dtype carve allocates parameter, gradient and Adam buffers in.
+DTYPE = np.float32
+
+# The largest value below 1 per dtype; keeps sampled actions inside (-1, 1)
 # even when tanh rounds to +-1.
-_ACTION_MAX = float(np.nextafter(1.0, 0.0))
+_BELOW_ONE = {np.dtype(t): np.nextafter(t(1), t(0)) for t in (np.float32, np.float64)}
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOG_2 = float(np.log(2.0))
@@ -57,7 +64,7 @@ def carve(layout: list, flat: np.ndarray | None = None) -> tuple[np.ndarray, lis
     allocates zeros."""
     sizes = [sum(math.prod(s) for s in shapes_of([part])) for part in layout]
     if flat is None:
-        flat = np.zeros(sum(sizes))
+        flat = np.zeros(sum(sizes), dtype=DTYPE)
     if flat.size != sum(sizes):
         raise InternalError(f"buffer of {flat.size} entries does not fit layout {layout}")
     line = flat.reshape(-1)  # a view; 1-d even for the 0-d temperature
@@ -87,7 +94,7 @@ class Mlp:
         reallocated (with no backward scratch) when the row count changes."""
         if rows != self._rows:
             self._rows = rows
-            self._hidden = [np.empty((rows, width)) for width in self.dims[1:-1]]
+            self._hidden = [np.empty((rows, width), self.flat.dtype) for width in self.dims[1:-1]]
             self._scratch = None
         return self._hidden
 
@@ -95,7 +102,7 @@ class Mlp:
         """Two distinct (rows, width) scratch arrays for a hidden layer of
         this width, carved from buffers allocated on the first backward pass."""
         if self._scratch is None:
-            self._scratch = np.empty((2, self._rows * max(self.dims[1:-1])))
+            self._scratch = np.empty((2, self._rows * max(self.dims[1:-1])), self.flat.dtype)
         n = self._rows * width
         return (self._scratch[0, :n].reshape(self._rows, width),
                 self._scratch[1, :n].reshape(self._rows, width))
@@ -131,7 +138,7 @@ class MlpCache:
 
 def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     """Evaluate the network; returns a fresh output and the cache for backward."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=mlp.flat.dtype)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
     if h.shape[-1] != mlp.weights[0].shape[1]:
@@ -169,7 +176,7 @@ def mlp_backward(
         raise InternalError("backward cache does not match this network")
     if cache.forward != mlp.forwards:
         raise InternalError("backward cache is stale: the network ran a forward pass since")
-    g = np.asarray(output_grad, dtype=np.float64)
+    g = np.asarray(output_grad, dtype=mlp.flat.dtype)
     if cache.was_1d:
         g = g[None, :]
     if g.shape != cache.post[-1].shape:
@@ -249,14 +256,14 @@ class GaussianPolicyOutput:
 
 def gaussian_head(raw: np.ndarray) -> GaussianPolicyOutput:
     """Split a 2A-wide network output into mean and clamped log-std."""
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = np.asarray(raw)
     a = raw.shape[-1] // 2
     if raw.shape[-1] != 2 * a:
         raise ConfigurationError("policy head output width must be even")
     mean = raw[..., :a]
     raw_log_std = raw[..., a:]
     log_std = np.clip(raw_log_std, LOG_STD_MIN, LOG_STD_MAX)
-    mask = ((raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)).astype(np.float64)
+    mask = ((raw_log_std > LOG_STD_MIN) & (raw_log_std < LOG_STD_MAX)).astype(raw.dtype)
     return GaussianPolicyOutput(mean, log_std, mask)
 
 
@@ -281,9 +288,10 @@ def sample_squashed(
     correction, so it stays finite for any clamped log_std and bounded mean.
     Returns (action, log_prob, cache); log_prob sums over action dims.
     """
+    noise = np.asarray(noise, dtype=out.mean.dtype)
     std = np.exp(out.log_std)
     u = out.mean + std * noise
-    action = np.clip(np.tanh(u), -_ACTION_MAX, _ACTION_MAX)
+    action = np.clip(np.tanh(u), -_BELOW_ONE[u.dtype], _BELOW_ONE[u.dtype])
     log_prob = _squashed_log_prob(out.log_std, noise, u)
     return action, log_prob, SampleCache(action, u, noise, std, out.clamp_mask)
 
@@ -297,8 +305,8 @@ def _squashed_log_prob(log_std: np.ndarray, noise: np.ndarray, u: np.ndarray) ->
 
 def policy_log_prob(out: GaussianPolicyOutput, action: np.ndarray) -> np.ndarray:
     """Log density of a given action under the squashed Gaussian."""
-    action = np.asarray(action, dtype=np.float64)
-    u = np.arctanh(np.clip(action, -_ACTION_MAX, _ACTION_MAX))
+    action = np.asarray(action, dtype=out.mean.dtype)
+    u = np.arctanh(np.clip(action, -_BELOW_ONE[action.dtype], _BELOW_ONE[action.dtype]))
     std = np.exp(out.log_std)
     noise = (u - out.mean) / std
     return _squashed_log_prob(out.log_std, noise, u)
@@ -313,8 +321,8 @@ def policy_sample_backward(
     Returns the gradient w.r.t. the concatenated [mean, raw_log_std] head
     output, with the clamp mask applied to the log-std half.
     """
-    a = cache.action
-    dlp = np.asarray(d_log_prob, dtype=np.float64)[..., None]
+    dlp = np.asarray(d_log_prob, dtype=cache.action.dtype)[..., None]
+    d_action = np.asarray(d_action, dtype=cache.action.dtype)
     sig_eps = cache.std * cache.noise
     ta = np.tanh(cache.pre_tanh)
     da_du = 1.0 - ta ** 2
@@ -333,9 +341,10 @@ def soft_update(target: Mlp, live: Mlp, tau: float) -> None:
 def finite_difference_check(mlp: Mlp, x: np.ndarray, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    The scalar probe loss is ||output||^2 / 2, so output_grad = output.
-    Used by the grad-check CLI command and the test suite.
+    The scalar probe loss is ||output||^2 / 2, so output_grad = output; it
+    runs on a float64 copy of mlp. Used by the grad-check CLI and the tests.
     """
+    mlp = Mlp(mlp.dims, mlp.flat.astype(np.float64))
     out, cache = mlp_forward(mlp, x)
     grad = mlp_backward(mlp, cache, out, Mlp(mlp.dims))[0].flat
     flat = mlp.flat

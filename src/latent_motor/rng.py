@@ -52,9 +52,12 @@ class CountingStream:
     def state(self) -> dict:
         return {"state": _encode_state(self._bg.state), "draws": self.draws}
 
-    def restore(self, payload: dict) -> None:
+    def restore(self, payload: dict, name: str) -> None:
         self._bg.state = _decode_state(payload["state"])
-        self.draws = int(payload["draws"])
+        if type(payload["draws"]) is not int or payload["draws"] < 0:  # not bool either
+            raise CheckpointError(f"rng stream {name}: draws must be an integer >= 0, "
+                                  f"got {payload['draws']!r}")
+        self.draws = payload["draws"]
 
 
 def _encode_state(state: dict) -> dict:
@@ -106,7 +109,7 @@ class RngStreams:
                 f"rng streams must be {sorted(STREAM_IDS)}: missing "
                 f"{sorted(set(STREAM_IDS) - names)}, unknown {sorted(names - set(STREAM_IDS))}")
         for name in STREAM_IDS:
-            out.streams[name].restore(payload["streams"][name])
+            out.streams[name].restore(payload["streams"][name], name)
         return out
 
 

@@ -72,6 +72,11 @@ class TrainConfig:
             raise ConfigurationError("tau must be in (0, 1]")
         if self.sigma_noise < 0:
             raise ConfigurationError("sigma_noise must be >= 0")
+        if not self.lr > 0:
+            raise ConfigurationError(f"lr must be > 0, got {self.lr}")
+        if self.buffer_capacity < self.batch_size:
+            raise ConfigurationError(f"buffer_capacity {self.buffer_capacity} must be >= "
+                                     f"batch_size {self.batch_size}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -249,7 +254,7 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     qmin = np.minimum(q1v, q2v)
     alpha = model.alpha
     j_pi = float(np.mean(alpha * logp - qmin))
-    take1 = (q1v <= q2v).astype(np.float64)
+    take1 = (q1v <= q2v).astype(q1v.dtype)
     d_q1out = (-take1 / b)[:, None]
     d_q2out = (-(1.0 - take1) / b)[:, None]
     _, dx1 = mlp_backward(model.q1, c1, d_q1out)  # the input gradient alone

@@ -21,6 +21,11 @@ from latent_motor.envs import make_task_set
 from latent_motor.errors import ConfigurationError, DegenerateEmbedding
 from latent_motor.sac import SacModel, TrainConfig, evaluate_policy
 
+# Batched and one-row matrix products may round a float32 action
+# differently (unit round-off 2**-24); over a 200-frame episode such
+# differences add up to at most about 200 * 2**-24 ~ 1.2e-5 of a metric.
+ROLLOUT_REL = 200 * 2.0 ** -24
+
 
 def tiny_model(family="vel1d", count=3):
     cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, optimization_times=1,
@@ -115,12 +120,13 @@ def test_evaluate_sphere_grid_size_and_consistency():
     cells = evaluate_sphere(m, m.tasks[0], 3, eval_seed=5)
     assert len(cells) == 3 * 6
     # consistency: direct evaluation at a grid embedding matches the cell,
-    # up to the rounding of the batched matmuls (measured: below 1e-13 relative
-    # in return, below 2e-15 absolute in metric)
+    # up to the rounding of the batched float32 matmuls (measured: ~4e-8
+    # relative in metric)
     probe = cells[4]
     rep = evaluate_policy(m, probe.embedding, m.tasks[0], episodes=1, eval_seed=5)
-    assert rep.metric == pytest.approx(probe.metric, rel=1e-12, abs=1e-12)
-    assert rep.mean_return == pytest.approx(probe.mean_return, rel=1e-12, abs=1e-12)
+    assert rep.metric == pytest.approx(probe.metric, rel=ROLLOUT_REL, abs=ROLLOUT_REL)
+    assert rep.mean_return == pytest.approx(probe.mean_return, rel=ROLLOUT_REL,
+                                            abs=ROLLOUT_REL)
 
 
 def test_evaluate_sphere_pure_wrt_model():
@@ -152,8 +158,8 @@ def test_sweep_endpoints_and_determinism():
            [(r.beta, r.metric, r.mean_return) for r in rows2]
     end_i = evaluate_policy(m, z_i, m.tasks[0], episodes=1, eval_seed=2)
     end_j = evaluate_policy(m, z_j, m.tasks[0], episodes=1, eval_seed=2)
-    assert rows1[0].metric == pytest.approx(end_i.metric, rel=1e-9)
-    assert rows1[2].metric == pytest.approx(end_j.metric, rel=1e-9)
+    assert rows1[0].metric == pytest.approx(end_i.metric, rel=ROLLOUT_REL)
+    assert rows1[2].metric == pytest.approx(end_j.metric, rel=ROLLOUT_REL)
 
 
 def test_sweep_records_degenerate_rows_as_skipped():
@@ -266,9 +272,9 @@ def test_compose_pure_endpoint_matches_eval():
     assert [r.beta for r in rows] == COMPOSE_BETAS.tolist() + [1.0]
     # batched rows round differently from a one-row rollout in the last bits
     assert rows[-1].extras["mean_abs_vx"] == pytest.approx(rep.extras["mean_abs_vx"],
-                                                           rel=1e-9)
+                                                           rel=ROLLOUT_REL)
     assert rows[-1].extras["mean_height"] == pytest.approx(rep.extras["mean_height"],
-                                                           abs=1e-9)
+                                                           abs=ROLLOUT_REL)
 
 
 def test_compose_antipodal_recorded_skipped():

@@ -36,22 +36,37 @@ def small_model(kind="ear", seed=0):
     return model
 
 
+def dtype_key(obj):
+    """The key of a stored array that holds its bytes: "f4" or "f8"."""
+    [key] = set(obj) - {"shape"}
+    return key
+
+
 def decode(obj):
     """A stored array, read without the package's loader."""
-    raw = base64.b64decode(obj["f8"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).copy()
+    raw = base64.b64decode(obj[dtype_key(obj)])
+    return np.frombuffer(raw, dtype="<" + dtype_key(obj)).reshape(obj["shape"]).copy()
 
 
-def encode(a):
-    """Store an array as the loader expects it, whatever its values."""
-    a = np.asarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f8": base64.b64encode(a.tobytes()).decode("ascii")}
+def encode(a, like):
+    """Store an array as the loader expects it, whatever its values, in the
+    dtype of the stored array `like`."""
+    key = dtype_key(like)
+    a = np.asarray(a, dtype="<" + key)
+    return {"shape": list(a.shape), key: base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def saved_doc(tmp_path, kind="ear"):
     path = str(tmp_path / "m.ckpt.json")
     save_checkpoint(small_model(kind), path)
     return path, json.loads(open(path).read())
+
+
+def lookup(doc, field):
+    """The value of a dotted field such as "adam.q2.v"."""
+    for key in field.split("."):
+        doc = doc[key]
+    return doc
 
 
 def replace_field(doc, field, value):
@@ -147,7 +162,7 @@ def test_tampered_embedding_rejected(tmp_path):
     path, doc = saved_doc(tmp_path)
     lte = decode(doc["lte_set"])
     lte[0, 0] += 0.5
-    doc["lte_set"] = encode(lte)
+    doc["lte_set"] = encode(lte, doc["lte_set"])
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match="disagrees with encoder weights"):
         load_checkpoint(path)
@@ -164,7 +179,7 @@ def test_tampered_embedding_rejected(tmp_path):
 ])
 def test_wrong_shaped_array_rejected(tmp_path, field, stored):
     path, doc = saved_doc(tmp_path)
-    replace_field(doc, field, encode(stored))
+    replace_field(doc, field, encode(stored, lookup(doc, field)))
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match=re.escape(field) + " has shape .* expected"):
         load_checkpoint(path)
@@ -191,19 +206,21 @@ def test_non_finite_array_rejected(tmp_path, kind, field, bad):
     save_checkpoint(model, path)
     doc = json.loads(open(path).read())
     stored, arr = with_bad_entry(model, field, bad)
-    replace_field(doc, stored, encode(arr))
+    replace_field(doc, stored, encode(arr, lookup(doc, stored)))
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError, match=re.escape(stored) + " has non-finite entries"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("stored,fragment", [
-    ({"shape": [4], "f8": "not base64!"}, "malformed array q1"),
-    ({"shape": [3], "f8": base64.b64encode(bytes(32)).decode()}, "cannot reshape"),
-    ({"shape": [4], "f8": base64.b64encode(bytes(31)).decode()}, "multiple of element size"),
-    ({"f8": base64.b64encode(bytes(32)).decode()}, "'shape'"),
+    ({"shape": [4], "f4": "not base64!"}, "malformed array q1"),
+    ({"shape": [3], "f4": base64.b64encode(bytes(32)).decode()}, "cannot reshape"),
+    ({"shape": [4], "f4": base64.b64encode(bytes(31)).decode()}, "multiple of element size"),
+    ({"f4": base64.b64encode(bytes(32)).decode()}, "'shape'"),
     ([0.0, 0.0, 0.0, 0.0], "malformed array q1"),
     (None, "malformed checkpoint field: 'q1'"),  # the field is missing
+    # q1 is float32: float64 bytes must not be read as float32 or be converted
+    ({"shape": [4], "f8": base64.b64encode(bytes(32)).decode()}, "malformed array q1: 'f4'"),
 ])
 def test_malformed_array_rejected(tmp_path, stored, fragment):
     path, doc = saved_doc(tmp_path)
@@ -221,6 +238,16 @@ def test_bad_adam_step_rejected(tmp_path, step):
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError,
                        match=re.escape(f"adam.q1.step must be an integer >= 0, got {step!r}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("draws", [-3, 1.7, True, "4"])
+def test_bad_rng_draw_count_rejected(tmp_path, draws):
+    path, doc = saved_doc(tmp_path)
+    doc["rng"]["streams"]["batch"]["draws"] = draws
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"rng stream batch: draws must be an integer >= 0, got {draws!r}")):
         load_checkpoint(path)
 
 
@@ -261,7 +288,12 @@ def test_payload_floats_survive_json_exactly():
                           (rt["adam"]["alpha"]["v"], model.opt_alpha.v),
                           (rt["lte_set"], model.lte_set())]:
         assert stored["shape"] == list(array.shape)
-        assert decode(stored).tobytes() == np.asarray(array, "<f8").tobytes()
+        assert decode(stored).dtype == array.dtype
+        assert decode(stored).tobytes() == array.tobytes()
+    # networks and their moments are stored in float32, the temperature and
+    # the embedding set in float64
+    assert dtype_key(rt["q1"]) == dtype_key(rt["adam"]["policy"]["m"]) == "f4"
+    assert dtype_key(rt["adam"]["alpha"]["v"]) == dtype_key(rt["lte_set"]) == "f8"
     # the stored config sets every hyperparameter; the optimizers keep only state
     assert all(set(opt) == {"m", "v", "step"} for opt in rt["adam"].values())
 

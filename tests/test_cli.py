@@ -166,6 +166,21 @@ def test_manifest_contents(tmp_path):
     assert manifest["versions"]["numpy"]
 
 
+def test_manifest_records_numeric_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    _, out = train_once(tmp_path)
+    numeric = json.load(open(os.path.join(out, "manifest.json")))["numeric"]
+    assert set(numeric) == {"blas", "blas_version", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS", "nproc", "libc", "network_dtype"}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (numeric["blas"], numeric["blas_version"]) == (blas["name"], blas["version"])
+    assert numeric["OPENBLAS_NUM_THREADS"] == "1" and numeric["OMP_NUM_THREADS"] is None
+    assert isinstance(numeric["nproc"], int) and numeric["nproc"] >= 1
+    assert isinstance(numeric["libc"], str)
+    assert numeric["network_dtype"] == "float32"
+
+
 # --- checkpoint-consuming commands ---
 
 @pytest.fixture(scope="module")
@@ -378,9 +393,10 @@ def test_runtime_failure_exits_1(tmp_path, capsys):
 
 def as_version_1(doc):
     """The document in the version-1 layout: arrays as nested decimal lists."""
-    if isinstance(doc, dict) and set(doc) == {"shape", "f8"}:
-        raw = base64.b64decode(doc["f8"])
-        return np.frombuffer(raw, dtype="<f8").reshape(doc["shape"]).tolist()
+    if isinstance(doc, dict) and set(doc) in ({"shape", "f4"}, {"shape", "f8"}):
+        [key] = set(doc) - {"shape"}
+        raw = base64.b64decode(doc[key])
+        return np.frombuffer(raw, dtype="<" + key).reshape(doc["shape"]).tolist()
     if isinstance(doc, dict):
         return {k: as_version_1(v) for k, v in doc.items()}
     if isinstance(doc, list):
@@ -390,11 +406,13 @@ def as_version_1(doc):
 
 @pytest.mark.parametrize("damage,fragment", [
     (lambda doc: {**as_version_1(doc), "format_version": 1},
-     "unsupported checkpoint version 1; this build reads version 3"),
+     "unsupported checkpoint version 1; this build reads version 4"),
     (lambda doc: {**doc, "format_version": 2},
-     "unsupported checkpoint version 2; this build reads version 3"),
+     "unsupported checkpoint version 2; this build reads version 4"),
+    (lambda doc: {**doc, "format_version": 3},
+     "unsupported checkpoint version 3; this build reads version 4"),
     (lambda doc: [doc], "unsupported checkpoint version None"),
-    (lambda doc: doc["q1"].update(f8="%%corrupt%%"), "malformed array q1:"),
+    (lambda doc: doc["q1"].update(f4="%%corrupt%%"), "malformed array q1:"),
     (lambda doc: doc["policy"].update(shape=[3, 3]), "malformed array policy: cannot reshape"),
 ])
 def test_bad_checkpoint_exits_1_with_one_line(trained, tmp_path, capsys, damage, fragment):

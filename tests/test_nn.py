@@ -41,10 +41,12 @@ def test_forward_matches_straight_line_evaluation():
     mlp = mlp_init([3, 4, 2], rng)
     x = rng.normal(size=3)
     out, _ = mlp_forward(mlp, x)
-    # independent re-evaluation, written long-hand
+    # independent re-evaluation, written long-hand in float64; the float32
+    # pass rounds x and a few O(1) sums and products (unit round-off 2**-24)
     h = np.tanh(mlp.weights[0] @ x + mlp.biases[0])
     expected = mlp.weights[1] @ h + mlp.biases[1]
-    assert np.max(np.abs(out - expected)) < 1e-12
+    assert out.dtype == np.float32
+    assert np.max(np.abs(out - expected)) < 1e-6
 
 
 def test_forward_dimension_mismatch():
@@ -100,8 +102,9 @@ def test_backward_stale_cache_rejected():
 
 
 def reference_forward(mlp, x):
-    """The allocating forward expressions the workspace pass replaced."""
-    h = np.atleast_2d(x)
+    """The allocating forward expressions the workspace pass replaced, in
+    the network's dtype."""
+    h = np.atleast_2d(x).astype(mlp.flat.dtype)
     inputs, post = [], []
     for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         inputs.append(h)
@@ -114,7 +117,7 @@ def reference_forward(mlp, x):
 def reference_backward(mlp, inputs, post, g):
     grad = Mlp(mlp.dims)
     last = len(mlp.weights) - 1
-    dh = np.atleast_2d(g)
+    dh = np.atleast_2d(g).astype(mlp.flat.dtype)
     for k in range(last, -1, -1):
         dz = dh if k == last else dh * (1.0 - post[k] ** 2)
         np.matmul(dz.T, inputs[k], out=grad.weights[k])

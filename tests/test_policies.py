@@ -2,12 +2,16 @@
 
 These lock in the hand-derived backward passes (sampler, decoder,
 encoder, sphere projections, task-encoder accumulation, per-task heads)
-against central finite differences on a scalar probe loss.
+against central finite differences on a scalar probe loss. Central
+differences need double precision, so the finite-difference tests build
+their policies on float64 buffers; the passes run the same code in
+either dtype.
 """
 
 import numpy as np
 import pytest
 
+from latent_motor import nn
 from latent_motor.nn import carve
 from latent_motor.policies import EarPolicy, MhmtPolicy, build_policy
 from latent_motor.errors import ConfigurationError
@@ -18,13 +22,18 @@ def probe_loss(policy, obs, ids, lte_noise, samp, ca, cl):
     return float(np.sum(ca * action) + np.sum(cl * logp))
 
 
+@pytest.fixture
+def float64_networks(monkeypatch):
+    monkeypatch.setattr(nn, "DTYPE", np.float64)
+
+
 def fd_worst(policy, obs, ids, lte_noise, samp, ca, cl, h=1e-6):
     _, _, cache = policy.forward_train(obs, ids, lte_noise, samp)
     gf = policy.backward_train(cache, ca, cl).copy()
     # the gradient buffer is reused, so a second call must not add to the first
     assert np.array_equal(policy.backward_train(cache, ca, cl), gf)
     flat = policy.flat
-    assert gf.shape == flat.shape
+    assert gf.shape == flat.shape and gf.dtype == flat.dtype == np.float64
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
@@ -40,7 +49,7 @@ def fd_worst(policy, obs, ids, lte_noise, samp, ca, cl, h=1e-6):
 
 @pytest.mark.parametrize("noisy,normalize", [(True, True), (False, True),
                                              (True, False), (False, False)])
-def test_shared_interface_policy_gradients(noisy, normalize):
+def test_shared_interface_policy_gradients(float64_networks, noisy, normalize):
     rng = np.random.default_rng(0)
     pol = EarPolicy(obs_dim=2, action_dim=2, n_tasks=3, rng=rng,
                     lse_dim=4, lte_dim=3, width=5, normalize_lte=normalize)
@@ -53,7 +62,7 @@ def test_shared_interface_policy_gradients(noisy, normalize):
 
 
 @pytest.mark.parametrize("kind", ["ohe", "mhmt"])
-def test_baseline_policy_gradients(kind):
+def test_baseline_policy_gradients(float64_networks, kind):
     rng = np.random.default_rng(1)
     pol = build_policy(kind, 2, 2, 3, rng, width=4)
     obs = rng.normal(size=(5, 2))

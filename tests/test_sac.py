@@ -12,7 +12,7 @@ from scipy import stats
 from latent_motor import sac
 from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError
-from latent_motor.nn import mlp_forward
+from latent_motor.nn import Mlp, mlp_forward
 from latent_motor.replay import Batch, ReplayBuffer
 from latent_motor.rng import eval_generator
 from latent_motor.sac import (
@@ -248,6 +248,23 @@ def test_sac_update_at_batch_256_allocates_no_activation_temporaries():
     assert faults / 10 < 50
 
 
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_networks_stay_float32_through_an_update(kind):
+    m = tiny_model(kind)
+    assert not sac_update(m, random_batch(m, 16)).skipped
+    nets = [m.q1, m.q2, m.q1_target, m.q2_target, *m._q_grads]
+    nets += [v for v in vars(m.policy).values() if isinstance(v, Mlp)]
+    grad = m.policy._grad  # an Mlp, or (flat, blocks) for a composite policy
+    arrays = [m.policy.flat, grad.flat if isinstance(grad, Mlp) else grad[0]]
+    arrays += [a for opt in (m.opt_policy, m.opt_q1, m.opt_q2) for a in (opt.m, opt.v)]
+    arrays += [a for net in nets for a in (net.flat, *net._hidden)]
+    arrays += [net._scratch for net in nets if net._scratch is not None]
+    assert all(a.dtype == np.float32 for a in arrays)
+    assert sum(net._scratch is not None for net in nets) >= 3  # critics and policy ran backward
+    # the temperature stays float64
+    assert m.log_alpha.dtype == m.opt_alpha.m.dtype == m.opt_alpha.v.dtype == np.float64
+
+
 def update_state(m):
     """The bytes of everything an update may change, and the Adam steps."""
     opts = (m.opt_policy, m.opt_q1, m.opt_q2, m.opt_alpha)
@@ -442,6 +459,12 @@ def probe_embeddings(n, seed=0):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+# Batched and one-row matrix products may round a float32 action
+# differently (unit round-off 2**-24); over a 200-frame episode such
+# differences add up to at most about 200 * 2**-24 ~ 1.2e-5 of a metric.
+ROLLOUT_REL = 200 * 2.0 ** -24
+
+
 def assert_reports_match(a, b, rel):
     def close(x, y):
         return np.allclose(x, y, rtol=rel, atol=rel) if rel else np.array_equal(x, y)
@@ -501,7 +524,7 @@ def test_evaluate_embeddings_matches_per_row_evaluation(family, episodes):
     assert len(reports) == len(Z)
     for z, rep in zip(Z, reports):
         assert_reports_match(rep, evaluate_policy(m, z, task, episodes, eval_seed=7),
-                             rel=1e-12)
+                             rel=ROLLOUT_REL)
 
 
 def test_evaluate_embeddings_leaves_model_untouched():

@@ -132,8 +132,11 @@ def test_full_update_matches_straight_line_oracle():
     expected_jpi = float(np.mean(alpha0 * logp_pi - np.minimum(q1u[:, 0], q2u[:, 0])))
     expected_jalpha = float(np.mean(-alpha0 * (logp_pi + model.target_entropy)))
 
+    # The oracle evaluates the float32 parameters in float64; the update
+    # rounds each of its O(1) intermediates to float32 (unit round-off
+    # 2**-24, ~6e-8), so the losses agree to a few such roundings.
     report = sac_update(model, batch)
-    assert report.j_q1 == pytest.approx(expected_jq[0], abs=1e-8)
-    assert report.j_q2 == pytest.approx(expected_jq[1], abs=1e-8)
-    assert report.j_pi == pytest.approx(expected_jpi, abs=1e-8)
-    assert report.j_alpha == pytest.approx(expected_jalpha, abs=1e-8)
+    assert report.j_q1 == pytest.approx(expected_jq[0], abs=1e-6)
+    assert report.j_q2 == pytest.approx(expected_jq[1], abs=1e-6)
+    assert report.j_pi == pytest.approx(expected_jpi, abs=1e-6)
+    assert report.j_alpha == pytest.approx(expected_jalpha, abs=1e-6)

@@ -45,6 +45,10 @@ def test_train_config_validation():
         TrainConfig(tau=1.5)
     with pytest.raises(ConfigurationError):
         TrainConfig(sigma_noise=-0.1)
+    with pytest.raises(ConfigurationError, match="lr must be > 0"):
+        TrainConfig(lr=float("nan"))
+    with pytest.raises(ConfigurationError, match="buffer_capacity 8 must be >= batch_size 16"):
+        TrainConfig(buffer_capacity=8, batch_size=16)
 
 
 def test_unnormalized_model_checkpoint_round_trip(tmp_path):
@@ -76,7 +80,7 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("env", "count", 2.0, "env.count must be an integer or null"),
     ("env", "family", 3, "env.family must be a str"),
     ("env", "jump_weights", 2.0, "env.jump_weights must be a list"),
-    ("env", "max_episode_frames", -200, "env.max_episode_frames must be >= 0"),
+    ("env", "max_episode_frames", -200, "env.max_episode_frames must be >= 1"),
     ("cem", "samples_per_elite", -1, "cem.samples_per_elite must be >= 0"),
     ("cem", "sample_sigma", None, "cem.sample_sigma must be a number"),
     ("analysis", "sphere_resolution", "12", "analysis.sphere_resolution must be an integer"),
@@ -99,6 +103,11 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("train", "lte_dim", 0, "train.lte_dim must be >= 1"),
     ("train", "buffer_capacity", 0, "train.buffer_capacity must be >= 1"),
     ("train", "eval_episodes", 0, "train.eval_episodes must be >= 1"),
+    ("env", "max_episode_frames", 0, "env.max_episode_frames must be >= 1"),
+    # a negative or zero step size trains by gradient ascent or not at all
+    ("train", "lr", -1.0, "lr must be > 0, got -1.0"),
+    ("train", "lr", 0, "lr must be > 0, got 0"),
+    ("train", "buffer_capacity", 8, "buffer_capacity 8 must be >= batch_size 256"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
