@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import envs
 from .embedding import interpolate, sphere_grid, sphere_grid_angles
+from .envs import RUNJUMP, TaskSpec
 from .errors import ConfigurationError, DegenerateEmbedding
-from .rng import eval_generator
 from .sac import SacModel, evaluate_embeddings
 
 
@@ -25,38 +24,6 @@ class PcaResult:
     components: np.ndarray    # (k, dim), rows orthonormal
     eigenvalues: np.ndarray   # (k,), descending
     projections: np.ndarray   # (n_samples, k)
-
-
-def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair until the largest
-    off-diagonal magnitude falls below tol relative to the matrix scale.
-    """
-    a = np.array(sym, dtype=np.float64)
-    n = a.shape[0]
-    vecs = np.eye(n)
-    scale = max(np.max(np.abs(a)), 1.0)
-    for _ in range(max_sweeps):
-        off = np.max(np.abs(a - np.diag(np.diag(a)))) if n > 1 else 0.0
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= tol * scale * 1e-3:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p], vecs[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), vecs
 
 
 def pca(data: np.ndarray, k: int) -> PcaResult:
@@ -70,7 +37,7 @@ def pca(data: np.ndarray, k: int) -> PcaResult:
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = _jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals)[:k]
     components = eigvecs[:, order].T
     eigenvalues = eigvals[order]
@@ -114,17 +81,9 @@ def lse_trajectory_analysis(model: SacModel, task: TaskSpec, task_id: int = 0,
     """Roll one deterministic episode and compare how periodic the raw
     observations and the sensory embeddings look after projecting each
     to its first principal components."""
-    vec = envs.VecRollout([task], model.constants)
-    obs = vec.reset(eval_generator(eval_seed))
-    frames = model.constants.max_episode_frames
-    raw = np.zeros((frames, model.obs_dim))
-    lse = np.zeros((frames, model.config.lse_dim))
-    lte_rows = model.lte_for_task(task_id)[None, :]
-    for t in range(frames):
-        raw[t] = obs[0]
-        lse[t] = model.policy.encode_obs(obs)[0]
-        action = model.policy.action_eval(obs, lte_rows=lte_rows)
-        obs, _, _ = vec.step(action)
+    [rep] = evaluate_embeddings(model, model.lte_for_task(task_id)[None], task, 1, eval_seed)
+    raw = rep.traces[0, :-1]  # the observation each action was taken on
+    lse = model.policy.encode_obs(raw)
     k_raw = min(2, raw.shape[1])
     raw_proj = pca(raw, k_raw).projections
     lse_proj = pca(lse, 2).projections
@@ -261,7 +220,7 @@ def compose(model: SacModel, z_a: np.ndarray, z_b: np.ndarray, betas,
     The run/jump dynamics are task-independent, so the supplied task only
     sets the reward bookkeeping; horizontal speed and height are physical.
     """
-    if task.family != envs.RUNJUMP:
+    if task.family != RUNJUMP:
         raise ConfigurationError("composition probes run on the run/jump family")
     return interpolation_sweep(model, z_a, z_b, betas, task, eval_seed, episodes)
 

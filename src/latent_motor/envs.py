@@ -225,7 +225,6 @@ class VecRollout:
         self.ctrl = np.array([t.reward_ctrl_cost for t in tasks])
         self.pos = np.zeros((self.k, d))
         self.vel = np.zeros((self.k, d))
-        self.t = 0
 
     def reset(self, rng, repeats: int = 1) -> np.ndarray:
         """Start every row; with repeats > 1 only k // repeats start states
@@ -240,12 +239,11 @@ class VecRollout:
             r = self.consts.reset_vel_range
             drawn = rng.uniform(-r, r, size=(self.k // repeats, d))
             self.vel = np.tile(drawn, (repeats, 1))
-        self.t = 0
         return observe_batch(self.pos, self.vel, self.family)
 
     def step(self, actions: np.ndarray):
         """Advance every row one frame; actions outside [-1, 1] are clipped.
-        Returns (observations, rewards, truncated)."""
+        Returns (observations, rewards)."""
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (self.k, action_dim(self.family)):
             raise ConfigurationError(
@@ -255,6 +253,4 @@ class VecRollout:
         rewards = _reward_batch(self.family, new_pos, new_vel, a, self.targets,
                                 self.weights, self.jump_mask, self.ctrl)
         self.pos, self.vel = new_pos, new_vel
-        self.t += 1
-        truncated = self.t >= self.consts.max_episode_frames
-        return observe_batch(self.pos, self.vel, self.family), rewards, truncated
+        return observe_batch(self.pos, self.vel, self.family), rewards

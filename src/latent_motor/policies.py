@@ -88,7 +88,7 @@ class EarPolicy:
         else:
             pre = lte
             noisy = lte
-        dec_in = np.concatenate([lse, noisy], axis=1)
+        dec_in = np.concatenate([lse, noisy], axis=1, dtype=lse.dtype)
         head_raw, dec_cache = mlp_forward(self.decoder, dec_in)
         out = gaussian_head(head_raw)
         action, log_prob, samp_cache = sample_squashed(out, sample_noise)
@@ -129,7 +129,8 @@ class EarPolicy:
         if lte_rows is None:
             raise ConfigurationError("the shared-interface policy acts on lte_rows")
         lse = self.encode_obs(obs)
-        head_raw, _ = mlp_forward(self.decoder, np.concatenate([lse, lte_rows], axis=1))
+        dec_in = np.concatenate([lse, lte_rows], axis=1, dtype=lse.dtype)
+        head_raw, _ = mlp_forward(self.decoder, dec_in)
         out = gaussian_head(head_raw)
         return np.tanh(out.mean)
 
@@ -153,7 +154,7 @@ class OhePolicy:
 
     def _input(self, obs, task_ids):
         onehot = np.eye(self.n_tasks)[np.asarray(task_ids)]
-        return np.concatenate([obs, onehot], axis=1)
+        return np.concatenate([obs, onehot], axis=1, dtype=self.flat.dtype)
 
     def forward_train(self, obs, task_ids, lte_noise, sample_noise):
         head_raw, net_cache = mlp_forward(self.net, self._input(obs, task_ids))

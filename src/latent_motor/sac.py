@@ -98,7 +98,7 @@ class EvalReport:
     metric: float
     extras: dict
     episode_returns: np.ndarray
-    traces: list
+    traces: np.ndarray  # (episodes, frames + 1, obs_dim) observations, reset first
 
 
 @dataclass
@@ -171,10 +171,9 @@ class SacModel:
         return self.tasks[task_index]
 
     def lte_for_task(self, task_index: int) -> np.ndarray:
-        if self.kind != "ear":
-            raise ConfigurationError("only the shared-interface policy has task embeddings")
+        lte = self.lte_set()
         self.task(task_index)
-        return self.policy.lte_set()[task_index]
+        return lte[task_index]
 
     def lte_set(self) -> np.ndarray:
         if self.kind != "ear":
@@ -188,7 +187,7 @@ def q_target(model: SacModel, batch: Batch) -> np.ndarray:
     samp = model.rngs.get("policy").standard_normal((b, model.action_dim))
     a2, logp2, _ = model.policy.forward_train(batch.next_obs, batch.task_id, None, samp)
     onehot = model.onehot(batch.task_id)
-    x2 = np.concatenate([batch.next_obs, a2, onehot], axis=1)
+    x2 = np.concatenate([batch.next_obs, a2, onehot], axis=1, dtype=model.q1.flat.dtype)
     q1t = mlp_forward(model.q1_target, x2)[0][:, 0]
     q2t = mlp_forward(model.q2_target, x2)[0][:, 0]
     v = np.minimum(q1t, q2t) - model.alpha * logp2
@@ -226,7 +225,7 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     # Critics: both gradients are checked before either is applied (q2's
     # pass does not read q1).
     y = q_target(model, batch)
-    x = np.concatenate([batch.obs, batch.action, onehot], axis=1)
+    x = np.concatenate([batch.obs, batch.action, onehot], axis=1, dtype=model.q1.flat.dtype)
     losses, grads = [], []
     for q, grad in zip((model.q1, model.q2), model._q_grads):
         pred, cache = mlp_forward(q, x)
@@ -247,7 +246,7 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     samp = model.rngs.get("policy").standard_normal((b, model.action_dim))
     action, logp, pcache = model.policy.forward_train(batch.obs, batch.task_id,
                                                       lte_noise, samp)
-    xa = np.concatenate([batch.obs, action, onehot], axis=1)
+    xa = np.concatenate([batch.obs, action, onehot], axis=1, dtype=model.q1.flat.dtype)
     q1v, c1 = mlp_forward(model.q1, xa)
     q2v, c2 = mlp_forward(model.q2, xa)
     q1v, q2v = q1v[:, 0], q2v[:, 0]
@@ -298,26 +297,27 @@ def _collect(model: SacModel, buffer: ReplayBuffer) -> None:
                 (model.n_tasks, cfg.lte_dim)) * cfg.sigma_noise
         samp = model.rngs.get("policy").standard_normal((model.n_tasks, model.action_dim))
         action, _, _ = model.policy.forward_train(obs, ids, lte_noise, samp)
-        next_obs, rewards, _ = vec.step(action)
+        next_obs, rewards = vec.step(action)
         buffer.add(obs, action, rewards, next_obs, ids)
         obs = next_obs
 
 
-def _metric_windows(family: str, traces: dict, task: TaskSpec, warmup: int) -> dict:
-    """Achieved-behavior metrics over the post-warmup window.
+def _metric_windows(family: str, obs: np.ndarray, task: TaskSpec, warmup: int) -> dict:
+    """Achieved-behavior metrics over the post-warmup window of the
+    post-step observations obs, shaped (episodes, frames, obs_dim).
 
     The double integrator needs ~25 frames of full thrust to reach the
     fastest targets, so steady behavior is measured after the transient.
     """
+    obs = obs[:, warmup:]
     if family == envs.VEL1D:
-        v = traces["velocity"][:, warmup:]
+        v = obs[..., 0]
         return {
             "mean_velocity": float(np.mean(v)),
             "vel_abs_error": float(np.mean(np.abs(v - task.target_array[0]))),
         }
     if family == envs.DIR2D:
-        vx = traces["vx"][:, warmup:]
-        vy = traces["vy"][:, warmup:]
+        vx, vy = obs[..., 0], obs[..., 1]
         u = task.target_array
         along = vx * u[0] + vy * u[1]
         perp = vx * (-u[1]) + vy * u[0]
@@ -327,8 +327,7 @@ def _metric_windows(family: str, traces: dict, task: TaskSpec, warmup: int) -> d
             "speed_perp": float(np.mean(np.abs(perp))),
             "direction_deg": float(np.degrees(np.arctan2(mean_v[1], mean_v[0])) % 360.0),
         }
-    vx = traces["vx"][:, warmup:]
-    height = traces["height"][:, warmup:]
+    vx, height = obs[..., 0], obs[..., 1]
     return {
         "mean_vx": float(np.mean(vx)),
         "mean_abs_vx": float(np.mean(np.abs(vx))),
@@ -366,7 +365,7 @@ def evaluate_policy(model: SacModel, lte: np.ndarray | None, task: TaskSpec,
         raise ConfigurationError(f"a {model.kind} policy takes no task embedding")
     if task_id is None:
         raise ConfigurationError("baseline evaluation needs task_id")
-    return _rollout(model, task, 1, episodes, eval_seed, ids=np.full(episodes, task_id))[0]
+    return _rollout(model, [task], episodes, eval_seed, ids=np.full(episodes, task_id))[0]
 
 
 def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
@@ -385,65 +384,52 @@ def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
                                  f"{model.config.lte_dim}) matrix, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ConfigurationError("embeddings must be finite")
-    return _rollout(model, task, len(Z), episodes, eval_seed,
+    return _rollout(model, [task] * len(Z), episodes, eval_seed,
                     lte_rows=np.repeat(Z, episodes, axis=0))
 
 
-def _rollout(model: SacModel, task: TaskSpec, n: int, episodes: int, eval_seed: int,
+def _rollout(model: SacModel, tasks: list[TaskSpec], episodes: int, eval_seed: int,
              lte_rows: np.ndarray | None = None,
              ids: np.ndarray | None = None) -> list[EvalReport]:
-    """Roll n conditionings x episodes rows; row i*episodes + e is episode
-    e of conditioning i. Returns one report per conditioning."""
+    """Roll one conditioning per task x episodes rows; row i*episodes + e
+    is episode e of conditioning i, on tasks[i]. Episode e of every
+    conditioning starts from the same reset state. Returns one report
+    per conditioning."""
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
-    vec = VecRollout([task] * (n * episodes), model.constants)
+    n = len(tasks)
+    vec = VecRollout([task for task in tasks for _ in range(episodes)], model.constants)
     obs = vec.reset(eval_generator(eval_seed), repeats=n)
     frames = model.constants.max_episode_frames
     returns = np.zeros(n * episodes)
-    rec = {k: np.zeros((n * episodes, frames)) for k in _trace_keys(model.family)}
+    trace = np.empty((n * episodes, frames + 1, model.obs_dim))
+    trace[:, 0] = obs
     for t in range(frames):
         action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
-        obs, rewards, _ = vec.step(action)
+        obs, rewards = vec.step(action)
         returns += rewards
-        _record(model.family, rec, t, vec)
-    warmup = frames // 4
+        trace[:, t + 1] = obs
     reports = []
-    for i in range(n):
+    for i, task in enumerate(tasks):
         rows = slice(i * episodes, (i + 1) * episodes)
-        own = {k: v[rows] for k, v in rec.items()}
-        extras = _metric_windows(model.family, own, task, warmup)
+        extras = _metric_windows(model.family, trace[rows, 1:], task, frames // 4)
         reports.append(EvalReport(
             mean_return=float(np.mean(returns[rows])),
             metric=_primary_metric(model.family, task, extras),
             extras=extras,
             episode_returns=returns[rows],
-            traces=[{k: v[e] for k, v in own.items()} for e in range(episodes)],
+            traces=trace[rows],
         ))
     return reports
 
 
-def _trace_keys(family: str) -> tuple:
-    if family == envs.VEL1D:
-        return ("velocity",)
-    if family == envs.DIR2D:
-        return ("vx", "vy")
-    return ("vx", "height")
-
-
-def _record(family: str, rec: dict, t: int, vec: VecRollout) -> None:
-    if family == envs.VEL1D:
-        rec["velocity"][:, t] = vec.vel[:, 0]
-    elif family == envs.DIR2D:
-        rec["vx"][:, t] = vec.vel[:, 0]
-        rec["vy"][:, t] = vec.vel[:, 1]
-    else:
-        rec["vx"][:, t] = vec.vel[:, 0]
-        rec["height"][:, t] = vec.pos[:, 1]
-
-
 def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalReport]:
-    return [evaluate_policy(model, None, task, episodes, eval_seed, task_id=i)
-            for i, task in enumerate(model.tasks)]
+    """One report per training task under its own conditioning, all tasks
+    rolled together."""
+    ids = np.repeat(np.arange(model.n_tasks), episodes)
+    if model.kind == "ear":
+        return _rollout(model, model.tasks, episodes, eval_seed, lte_rows=model.lte_set()[ids])
+    return _rollout(model, model.tasks, episodes, eval_seed, ids=ids)
 
 
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",

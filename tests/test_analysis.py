@@ -17,8 +17,9 @@ from latent_motor.analysis import (
     spearman,
 )
 from latent_motor.embedding import sphere_adjacency
-from latent_motor.envs import make_task_set
+from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError, DegenerateEmbedding
+from latent_motor.rng import eval_generator
 from latent_motor.sac import SacModel, TrainConfig, evaluate_policy
 
 # Batched and one-row matrix products may round a float32 action
@@ -111,6 +112,21 @@ def test_lse_trajectory_analysis_shapes():
     assert res.lse_projections.shape == (frames, 2)
     assert 0.0 <= res.raw_score <= 1.0 + 1e-12
     assert 0.0 <= res.lse_score <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("family", ["dir2d", "runjump"])
+def test_lse_trajectory_raw_trace_is_the_pre_step_observations(family):
+    m = tiny_model(family, count=3)
+    vec = VecRollout([m.tasks[1]], m.constants)
+    obs = vec.reset(eval_generator(2))
+    raw = []
+    for _ in range(m.constants.max_episode_frames):
+        raw.append(obs[0])
+        obs, _ = vec.step(m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None]))
+    expected = pca(np.array(raw), 2).projections
+    res = lse_trajectory_analysis(m, m.tasks[1], 1, eval_seed=2)
+    assert np.array_equal(res.raw_projections, expected)
+    assert res.raw_score == periodicity_score(expected[:, 0])
 
 
 # --- sphere ---

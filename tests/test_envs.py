@@ -18,6 +18,7 @@ from latent_motor.envs import (
     make_task_set,
 )
 from latent_motor.errors import ConfigurationError
+from latent_motor.sac import TrainConfig, evaluate_policy, train
 
 
 def vel_task(target=1.0, ctrl=0.0):
@@ -33,9 +34,9 @@ def one_row(task, pos, vel, consts=DEFAULT_CONSTANTS):
 
 
 def step_one(vec, action):
-    """Step a one-row rollout; returns (reward, truncated)."""
-    _, rewards, truncated = vec.step(np.asarray(action, dtype=np.float64)[None, :])
-    return rewards[0], truncated
+    """Step a one-row rollout; returns its reward."""
+    _, rewards = vec.step(np.asarray(action, dtype=np.float64)[None, :])
+    return rewards[0]
 
 
 def test_reset_vel1d_velocity_range():
@@ -44,7 +45,6 @@ def test_reset_vel1d_velocity_range():
     obs = vec.reset(rng)
     assert np.all(np.abs(vec.vel) <= 0.05) and np.max(np.abs(vec.vel)) > 0.0
     assert np.all(vec.pos == 0.0)
-    assert vec.t == 0
     assert np.array_equal(obs, vec.vel)
 
 
@@ -87,7 +87,7 @@ def test_step_vel1d_analytic():
     # dt=0.05, drag=0, F/m=1, v=1, a=0, v*=1, c=0 -> reward 0, v'=1
     consts = dataclasses.replace(DEFAULT_CONSTANTS, drag=0.0, f_max=1.0)
     vec = one_row(vel_task(1.0), [0.0], [1.0], consts)
-    reward, _ = step_one(vec, [0.0])
+    reward = step_one(vec, [0.0])
     assert reward == pytest.approx(0.0, abs=1e-15)
     assert vec.vel[0, 0] == pytest.approx(1.0, abs=1e-15)
     assert vec.pos[0, 0] == pytest.approx(0.05, abs=1e-15)
@@ -98,7 +98,7 @@ def test_step_dir2d_full_perpendicular_penalty():
     consts = dataclasses.replace(DEFAULT_CONSTANTS, drag=0.0)
     task = TaskSpec(DIR2D, (0.0, 1.0), reward_ctrl_cost=0.0)
     vec = one_row(task, [0.0, 0.0], [1.0, 0.0], consts)
-    reward, _ = step_one(vec, [0.0, 0.0])
+    reward = step_one(vec, [0.0, 0.0])
     assert reward == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_step_runjump_jump_reward():
     vy_next = vy + (-c.gravity - c.jump_drag * vy) * c.dt
     y0 = 0.5 - vy_next * c.dt
     vec = one_row(task, [0.0, y0], [0.0, vy], c)
-    reward, _ = step_one(vec, [0.0, 0.0])
+    reward = step_one(vec, [0.0, 0.0])
     assert vec.pos[0, 1] == pytest.approx(0.5, abs=1e-12)
     assert reward == pytest.approx(1.0, abs=1e-12)
 
@@ -122,8 +122,8 @@ def test_step_determinism_bit_identical():
     a = np.array([0.5, -0.25])
     r1 = one_row(task, [0.1, -0.2], [0.4, 0.3])
     r2 = one_row(task, [0.1, -0.2], [0.4, 0.3])
-    reward1, _ = step_one(r1, a)
-    reward2, _ = step_one(r2, a)
+    reward1 = step_one(r1, a)
+    reward2 = step_one(r2, a)
     assert reward1 == reward2
     assert np.array_equal(r1.vel, r2.vel)
     assert np.array_equal(r1.pos, r2.pos)
@@ -132,8 +132,8 @@ def test_step_determinism_bit_identical():
 def test_step_clips_out_of_range_actions():
     task = vel_task(1.0, ctrl=1e-3)
     over, at_max = one_row(task, [0.0], [0.3]), one_row(task, [0.0], [0.3])
-    r_over, _ = step_one(over, [1.5])
-    r_max, _ = step_one(at_max, [1.0])
+    r_over = step_one(over, [1.5])
+    r_max = step_one(at_max, [1.0])
     assert r_over == r_max
     assert np.array_equal(over.vel, at_max.vel)
     under, at_min = one_row(task, [0.0], [0.3]), one_row(task, [0.0], [0.3])
@@ -143,10 +143,11 @@ def test_step_clips_out_of_range_actions():
 def test_step_wrong_action_shape():
     vec = VecRollout([vel_task()] * 2)
     vec.reset(np.random.default_rng(0))
+    vel = vec.vel.copy()
     for bad in (np.zeros((2, 2)), np.zeros(2), np.zeros((3, 1))):
         with pytest.raises(ConfigurationError):
             vec.step(bad)
-    assert vec.t == 0
+    assert np.array_equal(vec.vel, vel) and np.all(vec.pos == 0.0)
 
 
 def test_zero_action_zero_drag_constant_velocity():
@@ -173,7 +174,7 @@ def test_vel1d_reward_never_positive():
     vec = VecRollout([vel_task(1.3, ctrl=1e-3)] * 4)
     vec.reset(rng)
     for _ in range(100):
-        _, rewards, _ = vec.step(rng.uniform(-1, 1, (4, 1)))
+        _, rewards = vec.step(rng.uniform(-1, 1, (4, 1)))
         assert np.all(rewards <= 0.0)
 
 
@@ -182,7 +183,7 @@ def test_dir2d_reward_bounded_by_speed():
     vec = VecRollout([TaskSpec(DIR2D, (1.0, 0.0), reward_ctrl_cost=1e-3)] * 4)
     vec.reset(rng)
     for _ in range(100):
-        _, rewards, _ = vec.step(rng.uniform(-1, 1, (4, 2)))
+        _, rewards = vec.step(rng.uniform(-1, 1, (4, 2)))
         assert np.all(rewards <= np.linalg.norm(vec.vel, axis=1) + 1e-12)
 
 
@@ -205,13 +206,15 @@ def test_runjump_can_leave_ground():
 
 
 def test_episode_truncates_at_max_frames():
-    vec = VecRollout([vel_task()] * 2)
-    vec.reset(np.random.default_rng(1))
-    for t in range(DEFAULT_CONSTANTS.max_episode_frames):
-        _, _, truncated = vec.step(np.zeros((2, 1)))
-        assert truncated == (t == DEFAULT_CONSTANTS.max_episode_frames - 1)
-    vec.reset(np.random.default_rng(1))
-    assert vec.t == 0
+    # rollouts count their own frames: every collected and every evaluated
+    # episode runs exactly max_episode_frames steps
+    consts = dataclasses.replace(DEFAULT_CONSTANTS, max_episode_frames=7)
+    cfg = TrainConfig(pretrain_epochs=1, train_epochs=1, optimization_times=1, batch_size=2,
+                      buffer_capacity=100, hidden_width=4, lse_dim=2)
+    model, _ = train(cfg, make_task_set(VEL1D, count=2), constants=consts)
+    assert len(model.buffer) == (1 + 1) * 2 * 7
+    rep = evaluate_policy(model, None, model.tasks[0], episodes=3, task_id=0)
+    assert rep.traces.shape == (3, 7 + 1, 1)
 
 
 def test_proportional_controller_solves_every_vel1d_task():
@@ -262,7 +265,7 @@ def test_observe_shapes():
         vec = VecRollout(make_task_set(family, count=3))
         obs = vec.reset(np.random.default_rng(0))
         assert obs.shape == (vec.k, width)
-        obs, _, _ = vec.step(np.full((vec.k, vec.vel.shape[1]), 0.5))
+        obs, _ = vec.step(np.full((vec.k, vec.vel.shape[1]), 0.5))
         assert obs.shape == (vec.k, width)
         if family == RUNJUMP:
             assert np.array_equal(obs, np.stack([vec.vel[:, 0], vec.pos[:, 1],
@@ -281,10 +284,10 @@ def test_vec_rollout_matches_single_env():
         singles = [one_row(task, vec.pos[k], vec.vel[k]) for k, task in enumerate(tasks)]
         for _ in range(30):
             actions = rng.uniform(-1.2, 1.2, size=(vec.k, vec.vel.shape[1]))
-            obs, rewards, truncated = vec.step(actions)
+            obs, rewards = vec.step(actions)
             for k, single in enumerate(singles):
-                o, r, tr = single.step(actions[k][None, :])
-                assert r[0] == rewards[k] and tr == truncated
+                o, r = single.step(actions[k][None, :])
+                assert r[0] == rewards[k]
                 assert np.array_equal(o[0], obs[k])
                 assert np.array_equal(single.pos[0], vec.pos[k])
                 assert np.array_equal(single.vel[0], vec.vel[k])

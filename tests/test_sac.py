@@ -19,6 +19,7 @@ from latent_motor.sac import (
     EvalReport,
     SacModel,
     TrainConfig,
+    eval_all_tasks,
     evaluate_embeddings,
     evaluate_policy,
     q_target,
@@ -26,8 +27,6 @@ from latent_motor.sac import (
     train,
     _metric_windows,
     _primary_metric,
-    _record,
-    _trace_keys,
 )
 
 
@@ -473,10 +472,8 @@ def assert_reports_match(a, b, rel):
     assert a.extras.keys() == b.extras.keys()
     assert all(close(a.extras[k], b.extras[k]) for k in a.extras)
     assert close(a.episode_returns, b.episode_returns)
-    assert len(a.traces) == len(b.traces)
-    for ta, tb in zip(a.traces, b.traces):
-        assert ta.keys() == tb.keys()
-        assert all(close(ta[k], tb[k]) for k in ta)
+    assert a.traces.shape == b.traces.shape
+    assert close(a.traces, b.traces)
 
 
 def reference_evaluation(model, task, episodes, eval_seed, lte_rows=None, ids=None):
@@ -486,15 +483,16 @@ def reference_evaluation(model, task, episodes, eval_seed, lte_rows=None, ids=No
     obs = vec.reset(eval_generator(eval_seed))
     frames = model.constants.max_episode_frames
     returns = np.zeros(episodes)
-    rec = {k: np.zeros((episodes, frames)) for k in _trace_keys(model.family)}
-    for t in range(frames):
+    trace = [obs]
+    for _ in range(frames):
         action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
-        obs, rewards, _ = vec.step(action)
+        obs, rewards = vec.step(action)
         returns += rewards
-        _record(model.family, rec, t, vec)
-    extras = _metric_windows(model.family, rec, task, frames // 4)
+        trace.append(obs)
+    trace = np.stack(trace, axis=1)
+    extras = _metric_windows(model.family, trace[:, 1:], task, frames // 4)
     return EvalReport(float(np.mean(returns)), _primary_metric(model.family, task, extras),
-                      extras, returns, [{k: rec[k][e] for k in rec} for e in range(episodes)])
+                      extras, returns, trace)
 
 
 @pytest.mark.parametrize("family", ["vel1d", "dir2d", "runjump"])
@@ -524,6 +522,18 @@ def test_evaluate_embeddings_matches_per_row_evaluation(family, episodes):
     assert len(reports) == len(Z)
     for z, rep in zip(Z, reports):
         assert_reports_match(rep, evaluate_policy(m, z, task, episodes, eval_seed=7),
+                             rel=ROLLOUT_REL)
+
+
+@pytest.mark.parametrize("family", ["vel1d", "dir2d", "runjump"])
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_eval_all_tasks_matches_per_task_evaluation(kind, family):
+    m = tiny_model(kind=kind, family=family)
+    reports = eval_all_tasks(m, 2, eval_seed=4)
+    assert len(reports) == m.n_tasks
+    for i, (task, rep) in enumerate(zip(m.tasks, reports)):
+        lte = m.lte_for_task(i) if kind == "ear" else None
+        assert_reports_match(rep, evaluate_policy(m, lte, task, 2, eval_seed=4, task_id=i),
                              rel=ROLLOUT_REL)
 
 
