@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Fingerprint training: run six fixed short trainings through the CLI and
-print the sha256 of each run's model.ckpt.json and curves.csv, and of the
-state of the model that loading model.ckpt.json gives.
+"""Fingerprint training and analysis: run six fixed short trainings and
+then every analysis subcommand through the CLI, and print the sha256 of
+each run's model.ckpt.json and curves.csv, of the state of the model that
+loading model.ckpt.json gives, and of every analysis output file.
 
 The runs are ear, ohe and mhmt on vel1d, and ear on dir2d and runjump, all
 with seed 3 and small fixed budgets (a few seconds each) at batch 64, plus
 ear on vel1d at the default batch of 256, the size at which each hidden
 activation of a training step is a 256x64 array. Two source trees
-that print the same lines train bit for bit the same, so running this
-before and after a refactor of the training path is its proof.
+that print the same lines train and analyze bit for bit the same, so
+running this before and after a refactor is its proof.
 
 The "model state" line hashes what a checkpoint stores, read back through
 the package's own loader: every network's flat parameter buffer, each
@@ -16,6 +17,12 @@ Adam optimizer's moments and step count, log_alpha, and the states of
 the init, env, policy, noise and batch RNG streams. It does not depend on
 the file format, so across a format change the state and curves.csv
 lines must stay equal while the model.ckpt.json line may not.
+
+The analysis runs read the ear-vel1d checkpoint (compose reads
+ear-runjump, the one run/jump model) with that run's config. Each prints
+one line per output file the command writes; config.json and
+manifest.json are left out, since they record the run rather than its
+results (and the manifest holds argv and versions).
 
     python3 scripts/run_digest.py              # outputs go to a temp dir
     python3 scripts/run_digest.py --out runs/digest
@@ -46,8 +53,25 @@ RUNS = {
     "ohe-vel1d": (["train-baseline", "--kind", "ohe"], VEL3, TRAIN),
     "mhmt-vel1d": (["train-baseline", "--kind", "mhmt"], VEL3, TRAIN),
     "ear-dir2d": (["train"], {"family": "dir2d", "count": 3}, TRAIN),
-    "ear-runjump": (["train"], {"family": "runjump", "run_count": 2, "jump_count": 2}, TRAIN),
+    "ear-runjump": (["train"], {"family": "runjump", "run_count": 2}, TRAIN),
     "ear-vel1d-b256": (["train"], VEL3, dict(TRAIN, batch_size=256)),
+}
+
+# name -> (CLI command and flags, training run whose checkpoint it reads,
+# output files)
+ANALYSES = {
+    "eval": (["eval", "--task-index", "1", "--episodes", "2"], "ear-vel1d", ["eval.json"]),
+    "sphere": (["sphere", "--resolution", "3"], "ear-vel1d",
+               ["sphere.csv", "sphere_edges.csv"]),
+    "interp": (["interp", "--task-i", "0", "--task-j", "2"], "ear-vel1d", ["sweep.csv"]),
+    "search-beta": (["search-beta", "--task-i", "0", "--task-j", "2", "--target", "0.1985",
+                     "--tol", "1e-5"], "ear-vel1d", ["search_beta.json"]),
+    "adapt": (["adapt", "--target", "1.25"], "ear-vel1d",
+              ["trace.csv", "adaptation_curve.csv", "best_lte.json"]),
+    "lse-viz": (["lse-viz", "--task-index", "1"], "ear-vel1d",
+                ["lse_pca.csv", "lse_scores.json"]),
+    "compose": (["compose", "--task-a", "1", "--task-b", "2", "--beta-count", "5"],
+                "ear-runjump", ["compose.csv"]),
 }
 
 
@@ -87,6 +111,16 @@ def run_all(root: str) -> int:
             print(f"{name:14s} {artifact:16s} {sha256(os.path.join(out, artifact))}")
         print(f"{name:14s} {'model state':16s} "
               f"{state_sha256(os.path.join(out, 'model.ckpt.json'))}")
+    for name, (command, source, outputs) in ANALYSES.items():
+        out = os.path.join(root, name)
+        code = cli_main(command + ["--config", os.path.join(root, source, "input.json"),
+                                   "--checkpoint", os.path.join(root, source, "model.ckpt.json"),
+                                   "--out", out])
+        if code != 0:
+            print(f"{name}: latent-motor exited with {code}", file=sys.stderr)
+            return code
+        for artifact in outputs:
+            print(f"{name:14s} {artifact:16s} {sha256(os.path.join(out, artifact))}")
     return 0
 
 

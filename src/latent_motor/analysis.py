@@ -17,6 +17,8 @@ from .envs import RUNJUMP, TaskSpec
 from .errors import ConfigurationError, DegenerateEmbedding
 from .sac import SacModel, evaluate_embeddings
 
+MAX_BISECTIONS = 40  # search_beta's bisection steps after its grid scan
+
 
 @dataclass
 class PcaResult:
@@ -140,12 +142,11 @@ def interpolation_sweep(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
     A degenerate blend (zero vector) is recorded as a skipped row rather
     than aborting the sweep.
     """
-    normalized = getattr(model.policy, "normalize_lte", True)
     betas = [float(b) for b in betas]
     blends = {}
     for k, beta in enumerate(betas):
         try:
-            blends[k] = interpolate(z_i, z_j, beta, normalized=normalized)
+            blends[k] = interpolate(z_i, z_j, beta, normalized=model.config.normalize_lte)
         except DegenerateEmbedding:
             pass
     reports = {}
@@ -168,8 +169,7 @@ class BetaSearchResult:
 
 def search_beta(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
                 target_metric: float, tol: float, task: TaskSpec,
-                eval_seed: int = 0, episodes: int = 1,
-                max_bisections: int = 40) -> BetaSearchResult:
+                eval_seed: int = 0, episodes: int = 1) -> BetaSearchResult:
     """Find a blend coefficient whose achieved metric hits a target.
 
     Scans a 17-point grid over [0.1, 0.9] in one batched sweep and returns
@@ -196,7 +196,7 @@ def search_beta(model: SacModel, z_i: np.ndarray, z_j: np.ndarray,
             break
     if lo is None:
         return BetaSearchResult(False, None, None, evals)
-    for _ in range(max_bisections):
+    for _ in range(MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         [r] = interpolation_sweep(model, z_i, z_j, [mid], task, eval_seed, episodes)
         if r.skipped:

@@ -106,8 +106,7 @@ def cem_optimize(evaluator, config: CemConfig, dim: int = 3) -> tuple[np.ndarray
     return elites[0].copy(), trace
 
 
-def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig,
-              evaluator=None) -> tuple[np.ndarray, CemTrace]:
+def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig) -> tuple[np.ndarray, CemTrace]:
     """Adapt to an unseen task by optimizing the embedding alone.
 
     The policy networks stay frozen; each epoch's candidates are scored
@@ -118,11 +117,10 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig,
     if task.family != model.family:
         raise ConfigurationError(
             f"task family {task.family!r} does not match model family {model.family!r}")
-    if evaluator is None:
-        def evaluator(Z):
-            reports = evaluate_embeddings(model, Z, task, config.episodes_per_eval,
-                                          config.seed)
-            return np.array([rep.mean_return for rep in reports])
+
+    def evaluator(Z):
+        reports = evaluate_embeddings(model, Z, task, config.episodes_per_eval, config.seed)
+        return np.array([rep.mean_return for rep in reports])
     return cem_optimize(evaluator, config, dim=model.config.lte_dim)
 
 

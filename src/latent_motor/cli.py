@@ -1,9 +1,11 @@
 """Command-line entry point and experiment orchestration.
 
-Every subcommand reads an optional JSON experiment config, honors
---seed (flag > LATENT_MOTOR_SEED env var > config), writes its artifacts
-into one output directory together with a manifest that pins the
-command, config hash, checkpoint hash, versions and numeric environment.
+Every subcommand reads an optional JSON experiment config and honors
+--seed (flag > LATENT_MOTOR_SEED env var > config). `main` resolves the
+config, creates the output directory, loads --checkpoint, runs the
+command and records the run as config.json (the resolved config) and
+manifest.json (command, config and checkpoint hashes, versions, numeric
+environment); grad-check writes no run directory.
 Exit codes: 0 ok, 1 runtime failure (single machine-parsable line on
 stderr), 2 usage.
 """
@@ -34,7 +36,7 @@ from .embedding import sphere_adjacency
 from .envs import DIR2D, RUNJUMP, VEL1D, TaskSpec
 from .errors import ConfigurationError, LatentMotorError
 from .nn import finite_difference_check, mlp_init
-from .sac import evaluate_policy, train
+from .sac import SacModel, evaluate_policy, train
 
 
 def _fmt(x) -> str:
@@ -65,21 +67,15 @@ def write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_sidecar(csv_path: str, cfg: ExperimentConfig | None, ckpt_hash: str | None) -> None:
-    write_json(csv_path + ".meta.json", {
-        "config": config_to_dict(cfg) if cfg else None,
-        "checkpoint_sha256": ckpt_hash,
-    })
-
-
-def write_manifest(out_dir: str, args, cfg_path: str | None, ckpt_path: str | None) -> None:
+def write_records(argv: list[str], args, cfg: ExperimentConfig) -> None:
+    """Write the run's manifest.json and config.json into cfg.out_dir."""
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:],
-        "seed": getattr(args, "effective_seed", None),
-        "threads": getattr(args, "threads", 1),
-        "config_sha256": file_sha256(cfg_path) if cfg_path else None,
-        "checkpoint_sha256": file_sha256(ckpt_path) if ckpt_path else None,
+        "argv": argv,
+        "seed": cfg.seed,
+        "threads": args.threads,
+        "config_sha256": file_sha256(args.config) if args.config else None,
+        "checkpoint_sha256": file_sha256(args.checkpoint) if args.checkpoint else None,
         "versions": {
             "latent_motor": __version__,
             "python": platform.python_version(),
@@ -87,7 +83,10 @@ def write_manifest(out_dir: str, args, cfg_path: str | None, ckpt_path: str | No
         },
         "numeric": _numeric_environment(),
     }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
+    # Last, so that a --config naming this directory's config.json is
+    # hashed as it was given.
+    write_json(os.path.join(cfg.out_dir, "config.json"), config_to_dict(cfg))
 
 
 def _numeric_environment() -> dict:
@@ -112,15 +111,9 @@ def _resolve(args) -> ExperimentConfig:
     if seed is not None and seed < 0:
         raise ConfigurationError(f"the seed must be >= 0, got {seed}")
     cfg = cfg.resolved(seed)
-    if getattr(args, "out", None):
+    if args.out:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    args.effective_seed = cfg.seed
     return cfg
-
-
-def _prepare_out(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
 
 
 def _curves_csv(path: str, curves) -> None:
@@ -131,17 +124,10 @@ def _curves_csv(path: str, curves) -> None:
     write_csv(path, header, rows)
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    tasks = cfg.env.task_set()
-    kind = "ear" if args.command == "train" else args.kind
-    model, curves = train(cfg.train, tasks, kind, cfg.env.constants())
-    write_json(os.path.join(out, "config.json"), config_to_dict(cfg))
-    _curves_csv(os.path.join(out, "curves.csv"), curves)
-    save_checkpoint(model, os.path.join(out, "model.ckpt.json"))
-    write_manifest(out, args, args.config, None)
-    return 0
+def cmd_train(args, cfg: ExperimentConfig, model: None) -> None:
+    model, curves = train(cfg.train, cfg.env.task_set(), args.kind, cfg.env.constants())
+    _curves_csv(os.path.join(cfg.out_dir, "curves.csv"), curves)
+    save_checkpoint(model, os.path.join(cfg.out_dir, "model.ckpt.json"))
 
 
 def _adapt_task(model, args) -> TaskSpec:
@@ -160,131 +146,106 @@ def _adapt_task(model, args) -> TaskSpec:
     return TaskSpec(RUNJUMP, (args.target,), reward_ctrl_cost=ctrl)
 
 
-def cmd_adapt(args) -> int:
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
+def cmd_adapt(args, cfg: ExperimentConfig, model: SacModel) -> None:
     task = _adapt_task(model, args)
     best, trace = cem_adapt(model, task, cfg.cem)
     rows = [[i, e.best_return, e.sigma, e.episodes_used]
             for i, e in enumerate(trace.epochs)]
-    write_csv(os.path.join(out, "trace.csv"),
+    write_csv(os.path.join(cfg.out_dir, "trace.csv"),
               ["epoch", "best_return", "sigma", "episodes_used"], rows)
     curve = adaptation_curve([trace])
-    write_csv(os.path.join(out, "adaptation_curve.csv"),
+    write_csv(os.path.join(cfg.out_dir, "adaptation_curve.csv"),
               ["epoch", "mean_best_return", "std_best_return"],
               [[r["epoch"], r["mean_best_return"], r["std_best_return"]] for r in curve])
-    write_json(os.path.join(out, "best_lte.json"), {
+    write_json(os.path.join(cfg.out_dir, "best_lte.json"), {
         "lte": [float(v) for v in best],
         "best_return": trace.epochs[-1].best_return,
         "task": task.as_dict(),
     })
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
 
 
-def cmd_interp(args) -> int:
-    cfg = _resolve(args)
+def cmd_interp(args, cfg: ExperimentConfig, model: SacModel) -> None:
     betas = parse_floats(args.beta_list, "--beta-list") if args.beta_list \
         else list(cfg.analysis.betas)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
-    z_i = model.lte_for_task(args.task_i)
-    z_j = model.lte_for_task(args.task_j)
-    task = model.task(args.task_i)
-    rows = interpolation_sweep(model, z_i, z_j, betas, task,
+    rows = interpolation_sweep(model, model.lte_for_task(args.task_i),
+                               model.lte_for_task(args.task_j), betas, model.task(args.task_i),
                                eval_seed=cfg.seed, episodes=cfg.analysis.episodes)
-    csv_path = os.path.join(out, "sweep.csv")
-    write_csv(csv_path, ["beta", "achieved_metric", "mean_return", "skipped"],
+    write_csv(os.path.join(cfg.out_dir, "sweep.csv"),
+              ["beta", "achieved_metric", "mean_return", "skipped"],
               [[r.beta, r.metric, r.mean_return, int(r.skipped)] for r in rows])
-    write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
 
 
-def cmd_search_beta(args) -> int:
+def cmd_search_beta(args, cfg: ExperimentConfig, model: SacModel) -> None:
     if not args.tol >= 0:  # also rejects nan
         raise ConfigurationError(f"--tol must be >= 0, got {args.tol}")
     if not np.isfinite(args.target):
         raise ConfigurationError(f"--target must be finite, got {args.target}")
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
     res = search_beta(model, model.lte_for_task(args.task_i),
                       model.lte_for_task(args.task_j), args.target, args.tol,
                       model.task(args.task_i), eval_seed=cfg.seed,
                       episodes=cfg.analysis.episodes)
-    write_json(os.path.join(out, "search_beta.json"), {
+    write_json(os.path.join(cfg.out_dir, "search_beta.json"), {
         "found": res.found, "beta": res.beta, "achieved": res.achieved,
         "evaluations": res.evaluations, "target": args.target, "tol": args.tol,
     })
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args, cfg: ExperimentConfig, model: SacModel) -> None:
     if args.beta_count < 1:
         raise ConfigurationError(f"--beta-count must be >= 1, got {args.beta_count}")
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
     rows = compose(model, model.lte_for_task(args.task_a), model.lte_for_task(args.task_b),
                    np.linspace(0.1, 0.9, args.beta_count), model.task(args.task_a),
                    eval_seed=cfg.seed, episodes=cfg.analysis.episodes)
-    csv_path = os.path.join(out, "compose.csv")
-    write_csv(csv_path, ["beta", "mean_abs_vx", "mean_height", "mean_return", "skipped"],
+    write_csv(os.path.join(cfg.out_dir, "compose.csv"),
+              ["beta", "mean_abs_vx", "mean_height", "mean_return", "skipped"],
               [[r.beta, r.extras.get("mean_abs_vx", np.nan),
                 r.extras.get("mean_height", np.nan), r.mean_return, int(r.skipped)]
                for r in rows])
-    write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
 
 
-def cmd_sphere(args) -> int:
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
+def cmd_sphere(args, cfg: ExperimentConfig, model: SacModel) -> None:
     res = args.resolution or cfg.analysis.sphere_resolution
     task = model.task(args.task_index)
     cells = evaluate_sphere(model, task, res, eval_seed=cfg.seed,
                             episodes=cfg.analysis.episodes)
-    csv_path = os.path.join(out, "sphere.csv")
-    write_csv(csv_path,
+    write_csv(os.path.join(cfg.out_dir, "sphere.csv"),
               ["index", "theta", "phi", "zx", "zy", "zz", "achieved_metric", "mean_return"],
               [[c.index, c.theta, c.phi, c.embedding[0], c.embedding[1], c.embedding[2],
                 c.metric, c.mean_return] for c in cells])
-    edges = sphere_adjacency(res)
-    write_csv(os.path.join(out, "sphere_edges.csv"), ["a", "b"], [list(e) for e in edges])
-    write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
+    write_csv(os.path.join(cfg.out_dir, "sphere_edges.csv"), ["a", "b"],
+              [list(e) for e in sphere_adjacency(res)])
 
 
-def cmd_lse_viz(args) -> int:
-    cfg = _resolve(args)
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
+def cmd_lse_viz(args, cfg: ExperimentConfig, model: SacModel) -> None:
     task = model.task(args.task_index)
     res = lse_trajectory_analysis(model, task, args.task_index, eval_seed=cfg.seed)
-    csv_path = os.path.join(out, "lse_pca.csv")
     raw = res.raw_projections
     lse = res.lse_projections
     rows = []
     for t in range(lse.shape[0]):
         raw_p2 = raw[t, 1] if raw.shape[1] > 1 else 0.0
         rows.append([t, raw[t, 0], raw_p2, lse[t, 0], lse[t, 1]])
-    write_csv(csv_path, ["t", "raw_p1", "raw_p2", "lse_p1", "lse_p2"], rows)
-    write_json(os.path.join(out, "lse_scores.json"),
+    write_csv(os.path.join(cfg.out_dir, "lse_pca.csv"),
+              ["t", "raw_p1", "raw_p2", "lse_p1", "lse_p2"], rows)
+    write_json(os.path.join(cfg.out_dir, "lse_scores.json"),
                {"raw_score": res.raw_score, "lse_score": res.lse_score})
-    write_sidecar(csv_path, cfg, file_sha256(args.checkpoint))
-    write_manifest(out, args, args.config, args.checkpoint)
-    return 0
 
 
-def cmd_grad_check(args) -> int:
-    _resolve(args)
-    rng = np.random.default_rng(args.effective_seed or 0)
+def cmd_eval(args, cfg: ExperimentConfig, model: SacModel) -> None:
+    lte = np.array(parse_floats(args.lte, "--lte")) if args.lte else None
+    task = model.task(args.task_index)
+    rep = evaluate_policy(model, lte, task, args.episodes, eval_seed=cfg.seed,
+                          task_id=args.task_index)
+    write_json(os.path.join(cfg.out_dir, "eval.json"), {
+        "mean_return": rep.mean_return,
+        "achieved_metric": rep.metric,
+        "extras": rep.extras,
+        "episode_returns": [float(r) for r in rep.episode_returns],
+    })
+
+
+def grad_check(seed: int) -> int:
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
         n_layers = int(rng.integers(1, 5))
@@ -298,24 +259,6 @@ def cmd_grad_check(args) -> int:
     if worst >= 1e-4:
         print("error: gradient check failed", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_eval(args) -> int:
-    cfg = _resolve(args)
-    lte = np.array(parse_floats(args.lte, "--lte")) if args.lte else None
-    out = _prepare_out(cfg)
-    model = load_checkpoint(args.checkpoint)
-    task = model.task(args.task_index)
-    rep = evaluate_policy(model, lte, task, args.episodes, eval_seed=cfg.seed,
-                          task_id=args.task_index)
-    write_json(os.path.join(out, "eval.json"), {
-        "mean_return": rep.mean_return,
-        "achieved_metric": rep.metric,
-        "extras": rep.extras,
-        "episode_returns": [float(r) for r in rep.episode_returns],
-    })
-    write_manifest(out, args, args.config, args.checkpoint)
     return 0
 
 
@@ -334,10 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "over embeddings, not threaded")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
+        else:
+            p.set_defaults(checkpoint=None)
 
     p = sub.add_parser("train", help="multi-task training")
     common(p)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, kind="ear")
 
     p = sub.add_parser("train-baseline", help="baseline trainer")
     common(p)
@@ -386,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     common(p)
-    p.set_defaults(fn=cmd_grad_check)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one task")
     common(p, checkpoint=True)
@@ -399,10 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = _resolve(args)
+        if args.command == "grad-check":
+            return grad_check(cfg.seed)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+        args.fn(args, cfg, model)
+        write_records(argv, args, cfg)
+        return 0
     except (LatentMotorError, OSError) as exc:
         message = str(exc).replace("\n", " ")
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)

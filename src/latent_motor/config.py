@@ -24,7 +24,6 @@ class EnvSection:
     low: float = 0.5
     high: float = 2.5
     run_count: int = 4
-    jump_count: int = 2
     run_low: float = 0.5
     run_high: float = 2.0
     jump_weights: list = field(default_factory=lambda: [2.0, 4.0])
@@ -37,8 +36,7 @@ class EnvSection:
     def task_set(self) -> list[TaskSpec]:
         return make_task_set(
             self.family, count=self.count, low=self.low, high=self.high,
-            run_count=self.run_count, jump_count=self.jump_count,
-            run_low=self.run_low, run_high=self.run_high,
+            run_count=self.run_count, run_low=self.run_low, run_high=self.run_high,
             jump_weights=tuple(self.jump_weights))
 
     def constants(self) -> EnvConstants:
@@ -144,7 +142,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         analysis=_build(AnalysisSection, doc.get("analysis", {}), "analysis"),
     )
     # The top-level seed drives every section (see resolved); a section
-    # seed may only repeat it, as the config.json written by train does.
+    # seed may only repeat it, as the config.json of every run directory does.
     for name in ("train", "cem"):
         section_seed = getattr(cfg, name).seed
         if "seed" in doc.get(name, {}) and section_seed != cfg.seed:

@@ -59,7 +59,7 @@ class TaskEncoder:
         return self.weight.T[task_ids] + self.bias
 
 
-def inject_noise(z: np.ndarray, sigma: float, rng, normalized: bool = True) -> np.ndarray:
+def inject_noise(z: np.ndarray, sigma: float, rng) -> np.ndarray:
     """Perturb an embedding with isotropic Gaussian noise and re-project.
 
     sigma=0 returns z unchanged. A degenerate perturbed sum is retried
@@ -72,8 +72,6 @@ def inject_noise(z: np.ndarray, sigma: float, rng, normalized: bool = True) -> n
         return z.copy()
     while True:
         noisy = z + sigma * rng.standard_normal(z.shape)
-        if not normalized:
-            return noisy
         if np.linalg.norm(noisy) > DEGENERATE_NORM:
             return normalize(noisy)
 

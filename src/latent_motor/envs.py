@@ -163,7 +163,7 @@ def _reward_batch(family, new_pos, new_vel, action, targets, weights, jump_mask,
 
 
 def make_task_set(family: str, count: int | None = None, low: float = 0.5,
-                  high: float = 2.5, run_count: int = 4, jump_count: int = 2,
+                  high: float = 2.5, run_count: int = 4,
                   run_low: float = 0.5, run_high: float = 2.0,
                   jump_weights: tuple = (2.0, 4.0),
                   ctrl_cost: float = DEFAULT_CONSTANTS.ctrl_cost) -> list[TaskSpec]:
@@ -171,8 +171,8 @@ def make_task_set(family: str, count: int | None = None, low: float = 0.5,
 
     vel1d: `count` target velocities over [low, high] (default 5 over
     [0.5, 2.5]). dir2d: `count` directions evenly spaced over [0, 360)
-    degrees (default 8). runjump: run_count velocity tasks plus
-    jump_count height-weight tasks.
+    degrees (default 8). runjump: run_count velocity tasks over
+    [run_low, run_high] plus one height task per entry of jump_weights.
     """
     if family == VEL1D:
         k = 5 if count is None else count
@@ -192,10 +192,8 @@ def make_task_set(family: str, count: int | None = None, low: float = 0.5,
             out.append(TaskSpec(DIR2D, (float(u[0]), float(u[1])), reward_ctrl_cost=ctrl_cost))
         return out
     if family == RUNJUMP:
-        if run_count + jump_count < 2 or run_count < 1 or jump_count < 1:
+        if run_count < 1 or not jump_weights:
             raise ConfigurationError("runjump needs at least one task per modality")
-        if len(jump_weights) != jump_count:
-            jump_weights = tuple(np.linspace(2.0, 4.0, jump_count))
         tasks = [TaskSpec(RUNJUMP, (float(t),), reward_ctrl_cost=ctrl_cost)
                  for t in np.linspace(run_low, run_high, run_count)]
         tasks += [TaskSpec(RUNJUMP, (0.0,), modality_weight=float(w), jump_modality=True,

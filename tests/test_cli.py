@@ -5,12 +5,14 @@ artifacts, manifests, determinism, exit codes, and strict config parsing.
 """
 
 import base64
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
+from latent_motor.checkpoint import file_sha256
 from latent_motor.cli import main
 from latent_motor.config import load_config, parse_config
 from latent_motor.errors import ConfigurationError
@@ -67,6 +69,8 @@ def test_config_unknown_section_key():
         parse_config({"train": {"bacth_size": 4}})
     with pytest.raises(ConfigurationError, match="unknown keys in analysis"):
         parse_config({"analysis": {"pca_components": 2}})
+    with pytest.raises(ConfigurationError, match=r"unknown keys in env: \['jump_count'\]"):
+        parse_config({"env": {"family": "runjump", "jump_count": 2}})
 
 
 def test_config_bad_family():
@@ -198,7 +202,7 @@ def test_interp_rows_per_beta(trained, tmp_path):
                  "--task-i", "0", "--task-j", "1", "--beta-list", "1.0,0.5,0.0"]) == 0
     lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
     assert len(lines) == 4  # header + 3 rows
-    assert os.path.exists(os.path.join(out, "sweep.csv.meta.json"))
+    assert os.path.exists(os.path.join(out, "config.json"))
 
 
 def test_interp_does_not_mutate_checkpoint(trained, tmp_path):
@@ -247,20 +251,18 @@ def test_lse_viz(trained, tmp_path):
     assert 0.0 <= scores["lse_score"] <= 1.0
 
 
-def test_compose_csv(tmp_path):
-    doc = {
-        "seed": 1,
-        "out_dir": str(tmp_path / "rj"),
-        "env": {"family": "runjump", "run_count": 2, "jump_count": 2},
-        "train": dict(TINY_TRAIN),
-        "analysis": {"episodes": 1},
-    }
-    cfg = tmp_path / "rj.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["train", "--config", str(cfg)]) == 0
-    ckpt = str(tmp_path / "rj" / "model.ckpt.json")
+@pytest.fixture(scope="module")
+def trained_runjump(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("cli_runjump")
+    cfg = write_config(tmp, out_dir=str(tmp / "run"), env={"family": "runjump", "run_count": 2})
+    assert main(["train", "--config", cfg]) == 0
+    return cfg, str(tmp / "run" / "model.ckpt.json")
+
+
+def test_compose_csv(trained_runjump, tmp_path):
+    cfg, ckpt = trained_runjump  # tasks 0-1 run, 2-3 jump
     out = str(tmp_path / "comp")
-    assert main(["compose", "--config", str(cfg), "--checkpoint", ckpt, "--out", out,
+    assert main(["compose", "--config", cfg, "--checkpoint", ckpt, "--out", out,
                  "--task-a", "1", "--task-b", "2", "--beta-count", "3"]) == 0
     lines = open(os.path.join(out, "compose.csv")).read().strip().splitlines()
     assert lines[0] == "beta,mean_abs_vx,mean_height,mean_return,skipped"
@@ -285,6 +287,44 @@ def test_written_config_loads_back_as_config(trained, tmp_path):
     assert load_config(written).resolved().train.seed == 3
     assert main(["eval", "--config", written, "--checkpoint", ckpt,
                  "--out", str(tmp_path / "e"), "--episodes", "1"]) == 0
+
+
+# Each subcommand with the flags of one small run; compose runs on the
+# run/jump checkpoint, the others on `trained`.
+COMMAND_FLAGS = {
+    "train": [],
+    "train-baseline": ["--kind", "mhmt"],
+    "adapt": ["--target", "1.0"],
+    "interp": ["--task-i", "0", "--task-j", "1", "--beta-list", "0.5"],
+    "search-beta": ["--task-i", "0", "--task-j", "1", "--target", "0.0", "--tol", "5.0"],
+    "compose": ["--task-a", "1", "--task-b", "2", "--beta-count", "2"],
+    "sphere": [],
+    "lse-viz": [],
+    "eval": ["--episodes", "1"],
+    "grad-check": [],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_run_directory_holds_config_and_manifest(trained, trained_runjump, tmp_path, command):
+    cfg, ckpt = trained_runjump if command == "compose" else trained[:2]
+    out = str(tmp_path / "out")
+    argv = [command, "--config", cfg, "--seed", "11", "--out", out, *COMMAND_FLAGS[command]]
+    reads_checkpoint = command not in ("train", "train-baseline", "grad-check")
+    if reads_checkpoint:
+        argv += ["--checkpoint", ckpt]
+    assert main(argv) == 0
+    if command == "grad-check":
+        assert not os.path.exists(out)
+        return
+    written = load_config(os.path.join(out, "config.json"))
+    assert written == dataclasses.replace(load_config(cfg).resolved(11), out_dir=out)
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert (manifest["command"], manifest["seed"]) == (command, 11)
+    assert manifest["argv"] == argv
+    assert manifest["config_sha256"] == file_sha256(cfg)
+    assert manifest["checkpoint_sha256"] == (file_sha256(ckpt) if reads_checkpoint else None)
+    assert not [name for name in os.listdir(out) if name.endswith(".meta.json")]
 
 
 def test_csv_outputs_stable_under_rerun(trained, tmp_path):

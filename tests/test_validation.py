@@ -30,12 +30,15 @@ def test_taskspec_validation():
         TaskSpec("vel1d", (float("nan"),))
 
 
-def test_make_task_set_runjump_weight_fallback():
-    # mismatched weight tuple falls back to an evenly spaced ramp
-    tasks = make_task_set("runjump", run_count=2, jump_count=3, jump_weights=(1.0,))
-    weights = [t.modality_weight for t in tasks if t.jump_modality]
-    assert len(weights) == 3
-    assert weights == sorted(weights)
+def test_runjump_jump_weights_used_as_given():
+    # one jump task per weight, in the given order; none are replaced
+    env = parse_config({"env": {"family": "runjump", "run_count": 2,
+                                "jump_weights": [1.0, 5.0, 9.0]}}).env
+    tasks = env.task_set()
+    assert [t.jump_modality for t in tasks] == [False, False, True, True, True]
+    assert [t.modality_weight for t in tasks if t.jump_modality] == [1.0, 5.0, 9.0]
+    with pytest.raises(ConfigurationError, match="at least one task per modality"):
+        make_task_set("runjump", jump_weights=())
 
 
 def test_train_config_validation():
