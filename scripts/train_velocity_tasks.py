@@ -33,10 +33,11 @@ def main():
     config = TrainConfig(seed=args.seed, train_epochs=args.epochs)
 
     def progress(epoch, reports):
+        """Print the epoch's worst velocity error; returns None, so training goes on."""
         errs = [r.extras["vel_abs_error"] for r in reports]
         print(f"epoch {epoch:3d}  max |v - v*| = {max(errs):.3f}")
 
-    model, curves = train(config, tasks, "ear", progress=progress)
+    model, curves = train(config, tasks, "ear", stop_fn=progress)
     _curves_csv(os.path.join(args.out, "curves.csv"), curves)
     save_checkpoint(model, os.path.join(args.out, "model.ckpt.json"))
 

@@ -6,13 +6,7 @@ adaptation, and geometric analyses, all on built-in toy environments."""
 __version__ = "0.1.0"
 
 from .cem import CemConfig, CemTrace, adaptation_curve, cem_adapt, cem_optimize
-from .embedding import (
-    TaskEncoder,
-    inject_noise,
-    interpolate,
-    normalize,
-    sphere_grid,
-)
+from .embedding import inject_noise, interpolate, normalize, sphere_grid
 from .envs import (
     DEFAULT_CONSTANTS,
     DIR2D,

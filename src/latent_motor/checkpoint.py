@@ -14,15 +14,19 @@ The file uses the in-memory layout: each network is one flat parameter
 buffer (the top-level fields policy, q1, q2, q1_target and q2_target),
 and each optimizer under "adam" is its two flat moments and its step
 count. The layout inside a buffer follows from the stored config, which
-rebuilds the model. Loading decodes every array into that fresh model
-through one helper that checks its dtype key, its shape and that every
-entry is finite, then re-validates the Adam moments and steps and the
-embedding invariants.
+rebuilds the model; a value the model derives, such as its family or
+its target entropy, is not stored. The tasks, constants and config must
+hold exactly their dataclass fields, so no field falls back to a
+default. Loading decodes every array into that fresh model through one
+helper that checks its dtype key, its shape and that every entry is
+finite, then re-validates the Adam moments and steps and the embedding
+invariants.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import hashlib
 import json
 
@@ -33,7 +37,7 @@ from .errors import CheckpointError
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _KEYS = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}  # the stored dtype
 
 
@@ -61,6 +65,16 @@ def _decode(payload, dst: np.ndarray, name: str) -> None:
     np.copyto(dst, src)
 
 
+def _fields(stored, cls, where: str) -> dict:
+    """stored, after checking that it holds exactly the fields of the dataclass cls."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    keys = set(stored) if isinstance(stored, dict) else set()
+    if keys != names:
+        raise CheckpointError(f"{where} must hold the {cls.__name__} fields: missing "
+                              f"{sorted(names - keys)}, unknown {sorted(keys - names)}")
+    return stored
+
+
 def _buffers(model: SacModel) -> dict:
     """The model's parameter buffers, by the top-level field that stores each."""
     return {"policy": model.policy.flat, "q1": model.q1.flat, "q2": model.q2.flat,
@@ -77,13 +91,11 @@ def checkpoint_payload(model: SacModel) -> dict:
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
-        "family": model.family,
         "tasks": [t.as_dict() for t in model.tasks],
         "constants": model.constants.as_dict(),
         "config": model.config.as_dict(),
         **{name: _encode(flat) for name, flat in _buffers(model).items()},
         "log_alpha": float(model.log_alpha),
-        "target_entropy": model.target_entropy,
         "adam": {name: {"m": _encode(st.m), "v": _encode(st.v), "step": st.step}
                  for name, st in _optimizers(model).items()},
         "rng": model.rngs.state(),
@@ -128,14 +140,14 @@ def load_checkpoint(path: str) -> SacModel:
             f"unsupported checkpoint version {version!r}; "
             f"this build reads version {FORMAT_VERSION}")
     try:
-        tasks = [TaskSpec.from_dict(d) for d in payload["tasks"]]
-        constants = EnvConstants(**payload["constants"])
-        config = TrainConfig(**payload["config"])
+        tasks = [TaskSpec.from_dict(_fields(d, TaskSpec, f"tasks[{i}]"))
+                 for i, d in enumerate(payload["tasks"])]
+        constants = EnvConstants(**_fields(payload["constants"], EnvConstants, "constants"))
+        config = TrainConfig(**_fields(payload["config"], TrainConfig, "config"))
         model = SacModel(payload["kind"], tasks, config, constants)
         for name, flat in _buffers(model).items():
             _decode(payload[name], flat, name)
         model.log_alpha[...] = float(payload["log_alpha"])
-        model.target_entropy = float(payload["target_entropy"])
         for name, st in _optimizers(model).items():
             stored = payload["adam"][name]
             _decode(stored["m"], st.m, f"adam.{name}.m")
@@ -152,8 +164,8 @@ def load_checkpoint(path: str) -> SacModel:
             _validate_embeddings(model, payload["lte_set"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
-    if not np.isfinite([model.log_alpha, model.target_entropy]).all():
-        raise CheckpointError("non-finite temperature or target entropy")
+    if not np.isfinite(model.log_alpha):
+        raise CheckpointError(f"non-finite temperature: log_alpha is {float(model.log_alpha)}")
     return model
 
 

@@ -204,7 +204,7 @@ def cmd_compose(args, cfg: ExperimentConfig, model: SacModel) -> None:
 
 
 def cmd_sphere(args, cfg: ExperimentConfig, model: SacModel) -> None:
-    res = args.resolution or cfg.analysis.sphere_resolution
+    res = cfg.analysis.sphere_resolution if args.resolution is None else args.resolution
     task = model.task(args.task_index)
     cells = evaluate_sphere(model, task, res, eval_seed=cfg.seed,
                             episodes=cfg.analysis.episodes)

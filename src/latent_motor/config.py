@@ -91,7 +91,8 @@ def _is_number(value) -> bool:
 # Integer fields that must exceed 0 (a zero width or count breaks training
 # later, or silently) and their minimum; any other integer must be >= 0.
 _MINIMUM = {"batch_size": 2, "hidden_width": 1, "lse_dim": 1, "lte_dim": 1,
-            "buffer_capacity": 1, "eval_episodes": 1, "max_episode_frames": 1}
+            "buffer_capacity": 1, "eval_episodes": 1, "max_episode_frames": 1,
+            "train_epochs": 1, "episodes": 1, "sphere_resolution": 2}
 
 
 def _check_field(f: dataclasses.Field, value, where: str) -> None:

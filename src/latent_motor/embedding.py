@@ -1,15 +1,14 @@
 """Task embeddings on the unit hypersphere.
 
 A task embedding is a plain float64 vector of unit norm (dimension 3 by
-default). This module owns projection onto the sphere, the learnable
-one-hot task encoder that produces the embedding set, training-time
-noise injection, linear interpolation/extrapolation with re-projection,
-and the lattice used to scan the whole sphere.
+default). This module owns projection onto the sphere and its gradient,
+training-time noise injection, linear interpolation/extrapolation with
+re-projection, and the lattice used to scan the whole sphere. The
+embedding set itself comes from the task-encoder weights of the
+shared-interface policy (policies.EarPolicy).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +39,6 @@ def normalize_backward(pre: np.ndarray, post: np.ndarray, d_post: np.ndarray) ->
     n = np.linalg.norm(pre, axis=-1, keepdims=True)
     proj = np.sum(post * d_post, axis=-1, keepdims=True)
     return (d_post - post * proj) / n
-
-
-@dataclass
-class TaskEncoder:
-    """Learnable linear map from task one-hots to embedding space.
-
-    Because the input is a one-hot, the raw embedding of task k is just
-    column k of the weight plus the bias; gradients reach the weights
-    through the policy objective only. Both arrays are views into the
-    shared-interface policy's parameter buffer.
-    """
-
-    weight: np.ndarray  # (embed_dim, n_tasks)
-    bias: np.ndarray    # (embed_dim,)
-
-    def raw_batch(self, task_ids: np.ndarray) -> np.ndarray:
-        return self.weight.T[task_ids] + self.bias
 
 
 def inject_noise(z: np.ndarray, sigma: float, rng) -> np.ndarray:

@@ -44,7 +44,6 @@ class EnvConstants:
     f_max: float = 2.0
     drag: float = 0.1
     gravity: float = 9.8
-    ctrl_cost: float = 1e-3
     jump_thrust: float = 25.0
     jump_drag: float = 15.0
     max_episode_frames: int = 200
@@ -53,7 +52,7 @@ class EnvConstants:
     def as_dict(self) -> dict:
         return {
             "dt": self.dt, "f_max": self.f_max, "drag": self.drag,
-            "gravity": self.gravity, "ctrl_cost": self.ctrl_cost,
+            "gravity": self.gravity,
             "jump_thrust": self.jump_thrust, "jump_drag": self.jump_drag,
             "max_episode_frames": self.max_episode_frames,
             "reset_vel_range": self.reset_vel_range,
@@ -121,10 +120,6 @@ def action_dim(family: str) -> int:
     return {VEL1D: 1, DIR2D: 2, RUNJUMP: 2}[family]
 
 
-def state_dim(family: str) -> int:
-    return {VEL1D: 1, DIR2D: 2, RUNJUMP: 2}[family]
-
-
 def observe_batch(pos: np.ndarray, vel: np.ndarray, family: str) -> np.ndarray:
     if family in (VEL1D, DIR2D):
         return vel.copy()
@@ -165,8 +160,7 @@ def _reward_batch(family, new_pos, new_vel, action, targets, weights, jump_mask,
 def make_task_set(family: str, count: int | None = None, low: float = 0.5,
                   high: float = 2.5, run_count: int = 4,
                   run_low: float = 0.5, run_high: float = 2.0,
-                  jump_weights: tuple = (2.0, 4.0),
-                  ctrl_cost: float = DEFAULT_CONSTANTS.ctrl_cost) -> list[TaskSpec]:
+                  jump_weights: tuple = (2.0, 4.0)) -> list[TaskSpec]:
     """Build an evenly spaced training task set.
 
     vel1d: `count` target velocities over [low, high] (default 5 over
@@ -179,7 +173,7 @@ def make_task_set(family: str, count: int | None = None, low: float = 0.5,
         if k < 2:
             raise ConfigurationError("need at least 2 tasks")
         targets = np.linspace(low, high, k)
-        return [TaskSpec(VEL1D, (float(t),), reward_ctrl_cost=ctrl_cost) for t in targets]
+        return [TaskSpec(VEL1D, (float(t),)) for t in targets]
     if family == DIR2D:
         k = 8 if count is None else count
         if k < 2:
@@ -189,15 +183,14 @@ def make_task_set(family: str, count: int | None = None, low: float = 0.5,
             ang = 2.0 * np.pi * i / k
             u = np.array([np.cos(ang), np.sin(ang)])
             u = u / np.linalg.norm(u)
-            out.append(TaskSpec(DIR2D, (float(u[0]), float(u[1])), reward_ctrl_cost=ctrl_cost))
+            out.append(TaskSpec(DIR2D, (float(u[0]), float(u[1]))))
         return out
     if family == RUNJUMP:
         if run_count < 1 or not jump_weights:
             raise ConfigurationError("runjump needs at least one task per modality")
-        tasks = [TaskSpec(RUNJUMP, (float(t),), reward_ctrl_cost=ctrl_cost)
-                 for t in np.linspace(run_low, run_high, run_count)]
-        tasks += [TaskSpec(RUNJUMP, (0.0,), modality_weight=float(w), jump_modality=True,
-                           reward_ctrl_cost=ctrl_cost) for w in jump_weights]
+        tasks = [TaskSpec(RUNJUMP, (float(t),)) for t in np.linspace(run_low, run_high, run_count)]
+        tasks += [TaskSpec(RUNJUMP, (0.0,), modality_weight=float(w), jump_modality=True)
+                  for w in jump_weights]
         return tasks
     raise ConfigurationError(f"unknown family {family!r}")
 
@@ -216,7 +209,7 @@ class VecRollout:
         self.tasks = tasks
         self.consts = constants
         self.k = len(tasks)
-        d = state_dim(self.family)
+        d = action_dim(self.family)  # position and velocity have one axis per action
         self.targets = np.stack([t.target_array for t in tasks])
         self.weights = np.array([t.modality_weight for t in tasks])
         self.jump_mask = np.array([t.jump_modality for t in tasks])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import TaskEncoder, normalize_backward, normalize_rows
+from .embedding import normalize_backward, normalize_rows
 from .errors import ConfigurationError
 from .nn import (
     Mlp,
@@ -62,18 +62,21 @@ class EarPolicy:
         self.layout = [[obs_dim, width, lse_dim],
                        [lse_dim + lte_dim, width, width, width, 2 * action_dim],
                        (lte_dim, n_tasks), (lte_dim,)]
-        self.flat, (self.encoder, self.decoder, te_w, te_b) = carve(self.layout)
-        self.task_encoder = TaskEncoder(te_w, te_b)
-        init_uniform(self.encoder.weights + self.decoder.weights + [te_w], rng)
+        # task_weight (lte_dim, n_tasks) and task_bias (lte_dim,) are the task
+        # encoder, a linear map from task one-hots to embedding space
+        self.flat, blocks = carve(self.layout)
+        self.encoder, self.decoder, self.task_weight, self.task_bias = blocks
+        init_uniform(self.encoder.weights + self.decoder.weights + [self.task_weight], rng)
         self._grad = carve(self.layout)
 
     def lte_set(self) -> np.ndarray:
         """The float64 embedding of every task, as training computes it."""
-        raw = self.task_encoder.weight.T + self.task_encoder.bias
+        raw = self.task_weight.T + self.task_bias
         return normalize_rows(raw) if self.normalize_lte else raw.astype(np.float64)
 
     def _embed(self, task_ids: np.ndarray):
-        raw = self.task_encoder.raw_batch(task_ids)
+        # the input is a one-hot, so task k's raw embedding is column k plus the bias
+        raw = self.task_weight.T[task_ids] + self.task_bias
         lte = normalize_rows(raw) if self.normalize_lte else raw
         return raw, lte
 

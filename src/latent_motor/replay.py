@@ -16,14 +16,6 @@ class Batch:
     reward: np.ndarray
     next_obs: np.ndarray
     task_id: np.ndarray
-    # Physical termination mask for the bootstrap target. The toy
-    # environments never terminate physically, so it stays all-False
-    # unless a caller constructs a batch by hand.
-    terminal: np.ndarray = None
-
-    def __post_init__(self):
-        if self.terminal is None:
-            self.terminal = np.zeros(len(self.reward), dtype=bool)
 
     def __len__(self):
         return len(self.reward)

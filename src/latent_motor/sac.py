@@ -7,11 +7,12 @@ number of gradient steps on uniformly sampled batches.
 
 Per update step:
   * both critics regress onto y = r + gamma * (min target Q - alpha*logp')
-    with the successor action freshly sampled from the current policy
-    (time-limit truncation bootstraps; only physical termination masks),
+    with the successor action freshly sampled from the current policy;
+    episodes only truncate at the time limit, so every target bootstraps,
   * the policy minimizes alpha*logp - min(Q1, Q2) with reparameterized
     actions and freshly noise-injected task embeddings,
-  * the temperature descends E[-alpha*(logp + target_entropy)],
+  * the temperature descends E[-alpha*(logp + target_entropy)], with
+    target_entropy = -dim(A), the usual SAC heuristic,
   * targets track the critics with a Polyak step.
 
 Critics condition on a one-hot task label, never on the task embedding,
@@ -191,8 +192,7 @@ def q_target(model: SacModel, batch: Batch) -> np.ndarray:
     q1t = mlp_forward(model.q1_target, x2)[0][:, 0]
     q2t = mlp_forward(model.q2_target, x2)[0][:, 0]
     v = np.minimum(q1t, q2t) - model.alpha * logp2
-    mask = 1.0 - batch.terminal.astype(np.float64)
-    return batch.reward + model.config.gamma * mask * v
+    return batch.reward + model.config.gamma * v.astype(np.float64)  # float64, as r is
 
 
 def sac_update(model: SacModel, batch: Batch) -> LossReport:
@@ -433,8 +433,8 @@ def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalR
 
 
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
-          constants: EnvConstants = DEFAULT_CONSTANTS, stop_fn=None,
-          progress=None) -> tuple[SacModel, list[CurvePoint]]:
+          constants: EnvConstants = DEFAULT_CONSTANTS,
+          stop_fn=None) -> tuple[SacModel, list[CurvePoint]]:
     """Run the full multi-task training loop for a policy kind: "ear" (the
     shared-interface policy), or the "ohe" or "mhmt" baseline.
 
@@ -467,8 +467,6 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
             curves.append(CurvePoint(epoch, i, rep.mean_return, rep.metric,
                                      mean_l["j_q1"], mean_l["j_q2"], mean_l["j_pi"],
                                      mean_l["j_alpha"], model.alpha))
-        if progress is not None:
-            progress(epoch, reports)
         if stop_fn is not None and stop_fn(epoch, reports):
             break
     model.buffer = buffer

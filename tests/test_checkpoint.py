@@ -1,6 +1,7 @@
 """Checkpoint round-trip, validation, and corruption handling."""
 
 import base64
+import copy
 import json
 import re
 
@@ -63,17 +64,16 @@ def saved_doc(tmp_path, kind="ear"):
 
 
 def lookup(doc, field):
-    """The value of a dotted field such as "adam.q2.v"."""
+    """The value of a dotted field such as "adam.q2.v" or "tasks.0.target"."""
     for key in field.split("."):
-        doc = doc[key]
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
     return doc
 
 
 def replace_field(doc, field, value):
     """Set a dotted field such as "adam.q2.v"; value None deletes it."""
-    *head, last = field.split(".")
-    for key in head:
-        doc = doc[key]
+    head, _, last = field.rpartition(".")
+    doc = lookup(doc, head) if head else doc
     if value is None:
         del doc[last]
     else:
@@ -187,7 +187,7 @@ def test_wrong_shaped_array_rejected(tmp_path, field, stored):
 
 @pytest.mark.parametrize("kind,field", [
     ("ear", "policy.encoder.weights[0]"),
-    ("ear", "policy.task_encoder.bias"),
+    ("ear", "policy.task_bias"),
     ("ohe", "policy.net.weights[1]"),
     ("ohe", "policy.net.biases[0]"),
     ("mhmt", "policy.head_w"),
@@ -264,13 +264,37 @@ def test_rng_streams_must_match(tmp_path, edit, fragment):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", ["log_alpha", "target_entropy"])
+@pytest.mark.parametrize("field", ["log_alpha"])
 def test_non_finite_scalar_rejected(tmp_path, field):
     path, doc = saved_doc(tmp_path)
     doc[field] = float("nan")
     open(path, "w").write(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="non-finite temperature or target entropy"):
+    with pytest.raises(CheckpointError, match="non-finite temperature: log_alpha is nan"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_every_stored_field_is_required(tmp_path, kind):
+    # no field may fall back to a default or be ignored: deleting any
+    # top-level field, or any key of constants, config or a task, and
+    # adding a key to one of those, each fail the load
+    path, doc = saved_doc(tmp_path, kind)
+    assert "family" not in doc and "target_entropy" not in doc  # the model derives both
+    edits = [(field, None, []) for field in doc]
+    for section, where in {"constants": "constants", "config": "config",
+                           "tasks.0": "tasks[0]"}.items():
+        edits += [(f"{section}.{key}", None, [f"{where} must hold the",
+                                              f"fields: missing ['{key}'], unknown []"])
+                  for key in lookup(doc, section)]
+        edits.append((f"{section}.extra", 1.0, [f"{where} must hold the",
+                                                "fields: missing [], unknown ['extra']"]))
+    for field, value, fragments in edits:
+        damaged = copy.deepcopy(doc)
+        replace_field(damaged, field, value)
+        open(path, "w").write(json.dumps(damaged))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert all(f in str(exc.value) for f in fragments), (field, str(exc.value))
 
 
 def test_non_finite_refused_on_save(tmp_path):

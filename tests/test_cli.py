@@ -390,10 +390,12 @@ def test_malformed_numbers_exit_1(trained, tmp_path, capsys):
              "--beta-count must be >= 1"),
             (["eval", "--lte", "nan,1,0"], "embeddings must be finite"),
             (["search-beta", *pair, "--target", "1.0", "--tol", "-1"], "--tol must be >= 0"),
-            (["search-beta", *pair, "--target", "nan"], "--target must be finite")):
+            (["search-beta", *pair, "--target", "nan"], "--target must be finite"),
+            # 0 is given, not unset: it must not fall back to the config's resolution
+            (["sphere", "--resolution", "0"], "resolution must be >= 2")):
         assert main(argv + common) == 1, argv
         assert_one_error_line(capsys, fragment)
-    for name in ("eval.json", "sweep.csv", "compose.csv", "search_beta.json"):
+    for name in ("eval.json", "sweep.csv", "compose.csv", "search_beta.json", "sphere.csv"):
         assert not os.path.exists(str(tmp_path / "x" / name)), name
 
 
@@ -446,15 +448,17 @@ def as_version_1(doc):
 
 @pytest.mark.parametrize("damage,fragment", [
     (lambda doc: {**as_version_1(doc), "format_version": 1},
-     "unsupported checkpoint version 1; this build reads version 4"),
+     "unsupported checkpoint version 1; this build reads version 5"),
     (lambda doc: {**doc, "format_version": 2},
-     "unsupported checkpoint version 2; this build reads version 4"),
+     "unsupported checkpoint version 2; this build reads version 5"),
     (lambda doc: {**doc, "format_version": 3},
-     "unsupported checkpoint version 3; this build reads version 4"),
+     "unsupported checkpoint version 3; this build reads version 5"),
+    (lambda doc: {**doc, "format_version": 4},
+     "unsupported checkpoint version 4; this build reads version 5"),
     (lambda doc: [doc], "unsupported checkpoint version None"),
     (lambda doc: doc["q1"].update(f4="%%corrupt%%"), "malformed array q1:"),
     (lambda doc: doc["policy"].update(shape=[3, 3]), "malformed array policy: cannot reshape"),
-])
+], ids=["v1", "v2", "v3", "v4", "not-object", "bad-base64", "bad-shape"])
 def test_bad_checkpoint_exits_1_with_one_line(trained, tmp_path, capsys, damage, fragment):
     cfg, ckpt, _ = trained
     doc = json.loads(open(ckpt).read())

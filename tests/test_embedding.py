@@ -46,8 +46,8 @@ def model_with_encoder(weight, bias):
     """A tiny shared-interface model whose task encoder is set by hand."""
     model = SacModel("ear", make_task_set("vel1d", count=weight.shape[1]),
                      TrainConfig(hidden_width=4, lse_dim=2, lte_dim=weight.shape[0]))
-    model.policy.task_encoder.weight[...] = weight
-    model.policy.task_encoder.bias[...] = bias
+    model.policy.task_weight[...] = weight
+    model.policy.task_bias[...] = bias
     return model
 
 

@@ -177,15 +177,6 @@ def test_policy_sensitive_to_embedding():
 
 # --- q_target ---
 
-def test_q_target_masked_terminal():
-    m = tiny_model()
-    batch = random_batch(m, 4)
-    batch.terminal = np.array([True, True, True, True])
-    batch.reward = np.array([1.0, 2.0, -1.0, 0.5])
-    y = q_target(m, batch)
-    assert y == pytest.approx([1.0, 2.0, -1.0, 0.5], abs=0)
-
-
 def test_q_target_arithmetic():
     # r=0.5, gamma=0.99, V'=2 -> y=2.48, using a hand-built value path
     m = tiny_model()

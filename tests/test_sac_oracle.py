@@ -64,9 +64,8 @@ def squashed(mean, log_std_raw, noise):
 def policy_eval(model, obs, task_ids, lte_noise, samp_noise):
     enc = model.policy.encoder
     dec = model.policy.decoder
-    te = model.policy.task_encoder
     lse, _ = mlp_eval([w.copy() for w in enc.weights], [b.copy() for b in enc.biases], obs)
-    raw = te.weight.T[task_ids] + te.bias
+    raw = model.policy.task_weight.T[task_ids] + model.policy.task_bias
     z = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     if lte_noise is not None:
         pre = z + lte_noise

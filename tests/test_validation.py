@@ -111,6 +111,10 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("train", "lr", -1.0, "lr must be > 0, got -1.0"),
     ("train", "lr", 0, "lr must be > 0, got 0"),
     ("train", "buffer_capacity", 8, "buffer_capacity 8 must be >= batch_size 256"),
+    # counts that make a command fail only after its run directory exists
+    ("train", "train_epochs", 0, "train.train_epochs must be >= 1"),
+    ("analysis", "episodes", 0, "analysis.episodes must be >= 1"),
+    ("analysis", "sphere_resolution", 1, "analysis.sphere_resolution must be >= 2"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
