@@ -11,7 +11,7 @@ return never decreases, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,9 +39,6 @@ class CemConfig:
             raise ConfigurationError("need sample_sigma > 0 and sigma_decay in (0, 1]")
         if self.adapt_epochs < 1 or self.episodes_per_eval < 1:
             raise ConfigurationError("need adapt_epochs >= 1 and episodes_per_eval >= 1")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -17,10 +17,12 @@ count. The layout inside a buffer follows from the stored config, which
 rebuilds the model; a value the model derives, such as its family or
 its target entropy, is not stored. The tasks, constants and config must
 hold exactly their dataclass fields, so no field falls back to a
-default. Loading decodes every array into that fresh model through one
-helper that checks its dtype key, its shape and that every entry is
-finite, then re-validates the Adam moments and steps and the embedding
-invariants.
+default, and config.read_record checks each value against its field's
+annotation; a failure of these records, or of the model they build, is
+a CheckpointError. Loading decodes every array into that fresh model
+through one helper that checks its dtype key, its shape and that every
+entry is finite, then re-validates the Adam moments and steps and the
+embedding invariants.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import json
 
 import numpy as np
 
+from .config import read_record
 from .envs import EnvConstants, TaskSpec
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError
 from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
@@ -65,14 +68,14 @@ def _decode(payload, dst: np.ndarray, name: str) -> None:
     np.copyto(dst, src)
 
 
-def _fields(stored, cls, where: str) -> dict:
-    """stored, after checking that it holds exactly the fields of the dataclass cls."""
+def _record(stored, cls, where: str):
+    """The dataclass cls read from stored, which must hold exactly its fields."""
     names = {f.name for f in dataclasses.fields(cls)}
     keys = set(stored) if isinstance(stored, dict) else set()
     if keys != names:
         raise CheckpointError(f"{where} must hold the {cls.__name__} fields: missing "
                               f"{sorted(names - keys)}, unknown {sorted(keys - names)}")
-    return stored
+    return read_record(cls, stored, where)
 
 
 def _buffers(model: SacModel) -> dict:
@@ -91,9 +94,9 @@ def checkpoint_payload(model: SacModel) -> dict:
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
-        "tasks": [t.as_dict() for t in model.tasks],
-        "constants": model.constants.as_dict(),
-        "config": model.config.as_dict(),
+        "tasks": [dataclasses.asdict(t) for t in model.tasks],
+        "constants": dataclasses.asdict(model.constants),
+        "config": dataclasses.asdict(model.config),
         **{name: _encode(flat) for name, flat in _buffers(model).items()},
         "log_alpha": float(model.log_alpha),
         "adam": {name: {"m": _encode(st.m), "v": _encode(st.v), "step": st.step}
@@ -140,10 +143,9 @@ def load_checkpoint(path: str) -> SacModel:
             f"unsupported checkpoint version {version!r}; "
             f"this build reads version {FORMAT_VERSION}")
     try:
-        tasks = [TaskSpec.from_dict(_fields(d, TaskSpec, f"tasks[{i}]"))
-                 for i, d in enumerate(payload["tasks"])]
-        constants = EnvConstants(**_fields(payload["constants"], EnvConstants, "constants"))
-        config = TrainConfig(**_fields(payload["config"], TrainConfig, "config"))
+        tasks = [_record(d, TaskSpec, f"tasks[{i}]") for i, d in enumerate(payload["tasks"])]
+        constants = _record(payload["constants"], EnvConstants, "constants")
+        config = _record(payload["config"], TrainConfig, "config")
         model = SacModel(payload["kind"], tasks, config, constants)
         for name, flat in _buffers(model).items():
             _decode(payload[name], flat, name)
@@ -162,6 +164,8 @@ def load_checkpoint(path: str) -> SacModel:
         model.rngs = RngStreams.from_state(payload["rng"])
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])
+    except ConfigurationError as exc:  # a stored record or the model it builds
+        raise CheckpointError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint field: {exc}") from exc
     if not np.isfinite(model.log_alpha):

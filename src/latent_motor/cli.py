@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .cem import adaptation_curve, cem_adapt
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
-from .config import ExperimentConfig, config_to_dict, load_config
+from .config import ExperimentConfig, load_config
 from .embedding import sphere_adjacency
 from .envs import DIR2D, RUNJUMP, VEL1D, TaskSpec
 from .errors import ConfigurationError, LatentMotorError
@@ -86,7 +86,7 @@ def write_records(argv: list[str], args, cfg: ExperimentConfig) -> None:
     write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
     # Last, so that a --config naming this directory's config.json is
     # hashed as it was given.
-    write_json(os.path.join(cfg.out_dir, "config.json"), config_to_dict(cfg))
+    write_json(os.path.join(cfg.out_dir, "config.json"), dataclasses.asdict(cfg))
 
 
 def _numeric_environment() -> dict:
@@ -160,7 +160,7 @@ def cmd_adapt(args, cfg: ExperimentConfig, model: SacModel) -> None:
     write_json(os.path.join(cfg.out_dir, "best_lte.json"), {
         "lte": [float(v) for v in best],
         "best_return": trace.epochs[-1].best_return,
-        "task": task.as_dict(),
+        "task": dataclasses.asdict(task),
     })
 
 

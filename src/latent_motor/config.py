@@ -2,13 +2,18 @@
 
 Unknown keys anywhere in the document are rejected before any run
 starts, so a typo like "bacth_size" fails loudly instead of silently
-training with defaults.
+training with defaults. `read_record` checks every value against its
+field's annotation; the checkpoint reads its stored config, constants and
+tasks through it too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 
 from .cem import CemConfig
@@ -71,22 +76,18 @@ class ExperimentConfig:
         )
 
 
-def _expected(default) -> tuple[tuple, str]:
-    """The JSON value types a field with this default accepts, and their name."""
-    if default is None:  # EnvSection.count: int | None
-        return (int, type(None)), "an integer or null"
-    if isinstance(default, bool):
-        return (bool,), "true or false"
-    if isinstance(default, int):
-        return (int,), "an integer"
-    if isinstance(default, float):
-        return (int, float), "a number"
-    return (type(default),), f"a {type(default).__name__}"
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved annotation of each field of the dataclass cls, by name."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
+# The JSON values each field annotation accepts, and their name in messages.
+# A tuple field is stored as a JSON list.
+_JSON_TYPES = {int: ((int,), "an integer"), int | None: ((int, type(None)), "an integer or null"),
+               float: ((int, float), "a number"), bool: ((bool,), "true or false"),
+               str: ((str,), "a str"), list: ((list,), "a list"), tuple: ((list,), "a list")}
 
 # Integer fields that must exceed 0 (a zero width or count breaks training
 # later, or silently) and their minimum; any other integer must be >= 0.
@@ -95,53 +96,51 @@ _MINIMUM = {"batch_size": 2, "hidden_width": 1, "lse_dim": 1, "lte_dim": 1,
             "train_epochs": 1, "episodes": 1, "sphere_resolution": 2}
 
 
-def _check_field(f: dataclasses.Field, value, where: str) -> None:
-    """Type-check one field against its default. Integer fields (counts
-    and seeds) must be >= 0, those in _MINIMUM at least their minimum,
-    and lists hold numbers."""
-    default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-    types, name = _expected(default)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_field(hint, value, name: str, where: str):
+    """value, checked against the field's annotation hint. Integers (counts
+    and seeds) must be >= 0, those in _MINIMUM at least their minimum; lists
+    hold numbers; no number is NaN or infinite. A tuple field reads a list."""
+    if dataclasses.is_dataclass(hint):  # a config section
+        return read_record(hint, value, name)
+    types, expected = _JSON_TYPES[hint]
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ConfigurationError(f"{where}.{f.name} must be {name}, got {value!r}")
+        raise ConfigurationError(f"{where}.{name} must be {expected}, got {value!r}")
     if isinstance(value, list) and not all(_is_number(v) for v in value):
-        raise ConfigurationError(f"{where}.{f.name} must be a list of numbers, "
-                                 f"got {value!r}")
-    count = default is None or type(default) is int
-    minimum = _MINIMUM.get(f.name, 0)
-    if count and value is not None and value < minimum:
-        raise ConfigurationError(f"{where}.{f.name} must be >= {minimum}, got {value}")
+        raise ConfigurationError(f"{where}.{name} must be a list of numbers, got {value!r}")
+    numbers = value if isinstance(value, list) else [value]
+    if any(isinstance(v, float) and not math.isfinite(v) for v in numbers):
+        raise ConfigurationError(f"{where}.{name} must be finite, got {value!r}")
+    minimum = _MINIMUM.get(name, 0)
+    if hint in (int, int | None) and value is not None and value < minimum:
+        raise ConfigurationError(f"{where}.{name} must be >= {minimum}, got {value}")
+    return tuple(value) if hint is tuple else value
 
 
-def _build(cls, data: dict, where: str):
+def read_record(cls, data, where: str):
+    """The dataclass cls built from the JSON object data, every value
+    checked against its field's annotation; an absent field takes its
+    default. Errors name the field as where.name."""
     if not isinstance(data, dict):
-        raise ConfigurationError(f"config section {where} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+        raise ConfigurationError(f"{where} must be a JSON object")
+    hints = _hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in data.items():
-        _check_field(fields[key], value, where)
-    return cls(**data)
+    return cls(**{key: _read_field(hints[key], value, key, where)
+                  for key, value in data.items()})
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    top = {"seed", "out_dir", "env", "train", "cem", "analysis"}
-    unknown = set(doc) - top
+    unknown = set(doc) - set(_hints(ExperimentConfig))
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-    scalars = {key: doc[key] for key in ("seed", "out_dir") if key in doc}
-    for key, value in scalars.items():
-        _check_field(fields[key], value, "config")
-    cfg = ExperimentConfig(
-        **scalars,
-        env=_build(EnvSection, doc.get("env", {}), "env"),
-        train=_build(TrainConfig, doc.get("train", {}), "train"),
-        cem=_build(CemConfig, doc.get("cem", {}), "cem"),
-        analysis=_build(AnalysisSection, doc.get("analysis", {}), "analysis"),
-    )
+    cfg = read_record(ExperimentConfig, doc, "config")
     # The top-level seed drives every section (see resolved); a section
     # seed may only repeat it, as the config.json of every run directory does.
     for name in ("train", "cem"):
@@ -161,14 +160,3 @@ def load_config(path: str) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     return parse_config(doc)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "env": dataclasses.asdict(cfg.env),
-        "train": dataclasses.asdict(cfg.train),
-        "cem": dataclasses.asdict(cfg.cem),
-        "analysis": dataclasses.asdict(cfg.analysis),
-    }

@@ -49,15 +49,6 @@ class EnvConstants:
     max_episode_frames: int = 200
     reset_vel_range: float = 0.05
 
-    def as_dict(self) -> dict:
-        return {
-            "dt": self.dt, "f_max": self.f_max, "drag": self.drag,
-            "gravity": self.gravity,
-            "jump_thrust": self.jump_thrust, "jump_drag": self.jump_drag,
-            "max_episode_frames": self.max_episode_frames,
-            "reset_vel_range": self.reset_vel_range,
-        }
-
 
 DEFAULT_CONSTANTS = EnvConstants()
 
@@ -80,11 +71,11 @@ class TaskSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.reward_ctrl_cost < 0 or self.modality_weight < 0:
+        if not (self.reward_ctrl_cost >= 0 and self.modality_weight >= 0):  # also nan
             raise ConfigurationError("cost and modality weight must be >= 0")
         t = np.asarray(self.target, dtype=np.float64)
         if self.family == DIR2D:
-            if t.shape != (2,) or abs(np.linalg.norm(t) - 1.0) > 1e-9:
+            if t.shape != (2,) or not abs(np.linalg.norm(t) - 1.0) <= 1e-9:
                 raise ConfigurationError("dir2d target must be a unit 2-vector")
         else:
             if t.shape != (1,) or not np.isfinite(t[0]):
@@ -93,23 +84,6 @@ class TaskSpec:
     @property
     def target_array(self) -> np.ndarray:
         return np.asarray(self.target, dtype=np.float64)
-
-    def as_dict(self) -> dict:
-        return {
-            "family": self.family, "target": list(self.target),
-            "modality_weight": self.modality_weight,
-            "jump_modality": self.jump_modality,
-            "reward_ctrl_cost": self.reward_ctrl_cost,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskSpec":
-        return cls(
-            family=d["family"], target=tuple(d["target"]),
-            modality_weight=d["modality_weight"],
-            jump_modality=d["jump_modality"],
-            reward_ctrl_cost=d["reward_ctrl_cost"],
-        )
 
 
 def obs_dim(family: str) -> int:

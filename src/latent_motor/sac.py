@@ -21,7 +21,7 @@ so embedding gradients flow through the policy objective alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class TrainConfig:
         if self.buffer_capacity < self.batch_size:
             raise ConfigurationError(f"buffer_capacity {self.buffer_capacity} must be >= "
                                      f"batch_size {self.batch_size}")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

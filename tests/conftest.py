@@ -8,6 +8,7 @@ repeated local runs skip retraining.
 Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,8 +75,8 @@ def _train_cached(kind, family, config, count=None):
         return model
     os.makedirs(CACHE_DIR, exist_ok=True)
     key = hashlib.sha256(json.dumps(
-        {"kind": kind, "family": family, "count": count, "config": config.as_dict(),
-         "constants": DEFAULT_CONSTANTS.as_dict(), "sources": _training_sources_sha256(),
+        {"kind": kind, "family": family, "count": count, "config": dataclasses.asdict(config),
+         "constants": dataclasses.asdict(DEFAULT_CONSTANTS), "sources": _training_sources_sha256(),
          "format": FORMAT_VERSION, "numeric": _numeric_environment()},
         sort_keys=True).encode()).hexdigest()[:24]
     path = os.path.join(CACHE_DIR, f"{key}.ckpt.json")

@@ -3,6 +3,7 @@
 import base64
 import copy
 import json
+import os
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from latent_motor.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from latent_motor.cli import main
 from latent_motor.envs import make_task_set
 from latent_motor.errors import CheckpointError
 from latent_motor.nn import carve, shapes_of
@@ -295,6 +297,31 @@ def test_every_stored_field_is_required(tmp_path, kind):
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert all(f in str(exc.value) for f in fragments), (field, str(exc.value))
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    ("config.gamma", 0, "gamma must be in (0, 1]"),
+    ("tasks.0.family", "walker", "unknown family 'walker'"),
+    ("tasks", [], "empty task set"),
+    ("config.normalize_lte", "no", "config.normalize_lte must be true or false, got 'no'"),
+    ("tasks.0.jump_modality", "yes", "tasks[0].jump_modality must be true or false, got 'yes'"),
+    ("constants.max_episode_frames", 2.5,
+     "constants.max_episode_frames must be an integer, got 2.5"),
+    ("constants.dt", float("nan"), "constants.dt must be finite, got nan"),
+], ids=["gamma", "family", "no-tasks", "normalize-str", "jump-str", "frames-float", "dt-nan"])
+def test_bad_stored_record_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
+    # config, constants and tasks are read as config sections are: each value
+    # has its field's annotated type and is finite; any failure of them, or of
+    # the model they build, is one CheckpointError line
+    path, doc = saved_doc(tmp_path)
+    replace_field(doc, field, value)
+    open(path, "w").write(json.dumps(doc))
+    out = str(tmp_path / "e")
+    assert main(["eval", "--checkpoint", path, "--out", out]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: CheckpointError:") and "\n" not in err
+    assert fragment in err
+    assert not os.path.exists(os.path.join(out, "eval.json"))
 
 
 def test_non_finite_refused_on_save(tmp_path):

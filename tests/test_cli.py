@@ -399,6 +399,15 @@ def test_malformed_numbers_exit_1(trained, tmp_path, capsys):
         assert not os.path.exists(str(tmp_path / "x" / name)), name
 
 
+def test_adapt_non_finite_jump_weight_exits_1(trained_runjump, tmp_path, capsys):
+    cfg, ckpt = trained_runjump
+    out = str(tmp_path / "a")
+    assert main(["adapt", "--config", cfg, "--checkpoint", ckpt, "--out", out,
+                 "--jump-weight", "nan"]) == 1
+    assert_one_error_line(capsys, "modality weight must be >= 0")
+    assert not os.path.exists(os.path.join(out, "best_lte.json"))
+
+
 def test_eval_lte_on_baseline_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "ohe"))
     assert main(["train-baseline", "--kind", "ohe", "--config", cfg]) == 0

@@ -28,6 +28,11 @@ def test_taskspec_validation():
         TaskSpec("walker", (1.0,))
     with pytest.raises(ConfigurationError):
         TaskSpec("vel1d", (float("nan"),))
+    # NaN fails every comparison, so each bound is written to reject it
+    with pytest.raises(ConfigurationError, match="dir2d target must be a unit 2-vector"):
+        TaskSpec("dir2d", (float("nan"), float("nan")))
+    with pytest.raises(ConfigurationError, match="modality weight must be >= 0"):
+        TaskSpec("runjump", (0.0,), modality_weight=float("nan"), jump_modality=True)
 
 
 def test_runjump_jump_weights_used_as_given():
@@ -115,6 +120,13 @@ def test_unnormalized_model_checkpoint_round_trip(tmp_path):
     ("train", "train_epochs", 0, "train.train_epochs must be >= 1"),
     ("analysis", "episodes", 0, "analysis.episodes must be >= 1"),
     ("analysis", "sphere_resolution", 1, "analysis.sphere_resolution must be >= 2"),
+    # JSON's NaN and Infinity literals parse as numbers, but no field takes them
+    ("train", "sigma_noise", float("nan"), "train.sigma_noise must be finite, got nan"),
+    ("cem", "sample_sigma", float("nan"), "cem.sample_sigma must be finite, got nan"),
+    ("cem", "sample_sigma", float("inf"), "cem.sample_sigma must be finite, got inf"),
+    ("env", "high", float("inf"), "env.high must be finite, got inf"),
+    ("env", "low", float("-inf"), "env.low must be finite, got -inf"),
+    ("analysis", "betas", [0.5, float("nan")], "analysis.betas must be finite, got [0.5, nan]"),
 ])
 def test_config_field_types_and_counts_checked(section, key, value, fragment):
     with pytest.raises(ConfigurationError) as exc:
