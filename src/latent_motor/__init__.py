@@ -5,7 +5,7 @@ adaptation, and geometric analyses, all on built-in toy environments."""
 
 __version__ = "0.1.0"
 
-from .cem import CemConfig, CemTrace, adaptation_curve, cem_adapt, cem_optimize
+from .cem import CemConfig, CemTrace, cem_adapt, cem_optimize
 from .embedding import inject_noise, interpolate, normalize, sphere_grid
 from .envs import (
     DEFAULT_CONSTANTS,

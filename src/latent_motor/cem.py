@@ -120,24 +120,3 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig) -> tuple[np.nd
         return np.array([rep.mean_return for rep in reports])
     return cem_optimize(evaluator, config, dim=model.config.lte_dim)
 
-
-def adaptation_curve(traces: list[CemTrace]) -> list[dict]:
-    """Aggregate best-return curves over adaptation runs.
-
-    Returns one row per epoch with the mean and population std of the
-    best return across traces; traces must have equal length.
-    """
-    if not traces:
-        raise ConfigurationError("no traces given")
-    lengths = {len(t.epochs) for t in traces}
-    if len(lengths) != 1:
-        raise ConfigurationError("ragged traces: all runs must have the same epoch count")
-    stacked = np.stack([t.best_returns() for t in traces])
-    rows = []
-    for e in range(stacked.shape[1]):
-        rows.append({
-            "epoch": e,
-            "mean_best_return": float(np.mean(stacked[:, e])),
-            "std_best_return": float(np.std(stacked[:, e])),
-        })
-    return rows

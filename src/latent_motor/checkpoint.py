@@ -11,18 +11,20 @@ byte-identical, and parsing a few base64 strings is far cheaper than
 parsing every element as a decimal.
 
 The file uses the in-memory layout: each network is one flat parameter
-buffer (the top-level fields policy, q1, q2, q1_target and q2_target),
-and each optimizer under "adam" is its two flat moments and its step
-count. The layout inside a buffer follows from the stored config, which
-rebuilds the model; a value the model derives, such as its family or
-its target entropy, is not stored. The tasks, constants and config must
-hold exactly their dataclass fields, so no field falls back to a
-default, and config.read_record checks each value against its field's
-annotation; a failure of these records, or of the model they build, is
-a CheckpointError. Loading decodes every array into that fresh model
+buffer (the top-level fields policy, q and q_target; q holds both twin
+critics, stacked), and each optimizer under "adam" (policy, q, alpha) is
+its two flat moments and its step count. The layout inside a buffer
+follows from the stored config, which rebuilds the model; a value the
+model derives, such as its family or its target entropy, is not stored,
+and neither is the root seed, since the stored stream states decide
+every draw. The tasks, constants and config must hold exactly their
+dataclass fields, so no field falls back to a default, and
+config.read_record checks each value against its field's annotation; a
+failure of these records, or of the model they build, is a
+CheckpointError. Loading decodes every array into that fresh model
 through one helper that checks its dtype key, its shape and that every
-entry is finite, then re-validates the Adam moments and steps and the
-embedding invariants.
+entry is finite, then re-validates the Adam moments and steps, the
+stream states, log_alpha and the embedding invariants.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ import numpy as np
 from .config import read_record
 from .envs import EnvConstants, TaskSpec
 from .errors import CheckpointError, ConfigurationError
-from .rng import RngStreams
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _KEYS = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}  # the stored dtype
 
 
@@ -80,14 +81,12 @@ def _record(stored, cls, where: str):
 
 def _buffers(model: SacModel) -> dict:
     """The model's parameter buffers, by the top-level field that stores each."""
-    return {"policy": model.policy.flat, "q1": model.q1.flat, "q2": model.q2.flat,
-            "q1_target": model.q1_target.flat, "q2_target": model.q2_target.flat}
+    return {"policy": model.policy.flat, "q": model.q.flat, "q_target": model.q_target.flat}
 
 
 def _optimizers(model: SacModel) -> dict:
     """The model's Adam states, by their key under "adam"."""
-    return {"policy": model.opt_policy, "q1": model.opt_q1, "q2": model.opt_q2,
-            "alpha": model.opt_alpha}
+    return {"policy": model.opt_policy, "q": model.opt_q, "alpha": model.opt_alpha}
 
 
 def checkpoint_payload(model: SacModel) -> dict:
@@ -149,7 +148,9 @@ def load_checkpoint(path: str) -> SacModel:
         model = SacModel(payload["kind"], tasks, config, constants)
         for name, flat in _buffers(model).items():
             _decode(payload[name], flat, name)
-        model.log_alpha[...] = float(payload["log_alpha"])
+        if type(payload["log_alpha"]) is not float:  # not an int or bool either
+            raise CheckpointError(f"log_alpha must be a float, got {payload['log_alpha']!r}")
+        model.log_alpha[...] = payload["log_alpha"]
         for name, st in _optimizers(model).items():
             stored = payload["adam"][name]
             _decode(stored["m"], st.m, f"adam.{name}.m")
@@ -161,7 +162,7 @@ def load_checkpoint(path: str) -> SacModel:
                 raise CheckpointError(
                     f"adam.{name}.step must be an integer >= 0, got {stored['step']!r}")
             st.step = stored["step"]
-        model.rngs = RngStreams.from_state(payload["rng"])
+        model.rngs.restore(payload["rng"])
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])
     except ConfigurationError as exc:  # a stored record or the model it builds

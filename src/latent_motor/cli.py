@@ -29,7 +29,7 @@ from .analysis import (
     lse_trajectory_analysis,
     search_beta,
 )
-from .cem import adaptation_curve, cem_adapt
+from .cem import cem_adapt
 from .checkpoint import file_sha256, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 from .embedding import sphere_adjacency
@@ -153,10 +153,6 @@ def cmd_adapt(args, cfg: ExperimentConfig, model: SacModel) -> None:
             for i, e in enumerate(trace.epochs)]
     write_csv(os.path.join(cfg.out_dir, "trace.csv"),
               ["epoch", "best_return", "sigma", "episodes_used"], rows)
-    curve = adaptation_curve([trace])
-    write_csv(os.path.join(cfg.out_dir, "adaptation_curve.csv"),
-              ["epoch", "mean_best_return", "std_best_return"],
-              [[r["epoch"], r["mean_best_return"], r["std_best_return"]] for r in curve])
     write_json(os.path.join(cfg.out_dir, "best_lte.json"), {
         "lte": [float(v) for v in best],
         "best_return": trace.epochs[-1].best_return,

@@ -49,6 +49,14 @@ class EnvConstants:
     max_episode_frames: int = 200
     reset_vel_range: float = 0.05
 
+    def __post_init__(self):
+        positive = ("dt", "f_max", "gravity", "jump_thrust")
+        for name in positive + ("drag", "jump_drag", "reset_vel_range"):
+            value = getattr(self, name)
+            if not (value > 0 if name in positive else value >= 0):  # also refuses NaN
+                raise ConfigurationError(f"constants.{name} must be "
+                                         f"{'>' if name in positive else '>='} 0, got {value!r}")
+
 
 DEFAULT_CONSTANTS = EnvConstants()
 

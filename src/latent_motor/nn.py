@@ -12,6 +12,11 @@ are views into it (see carve). Gradients and Adam moments are vectors in
 the same layout, so Adam, Polyak averaging and the finiteness check are
 one elementwise operation per network.
 
+A network may carry a leading stack axis, lead (the twin critics'
+is (2,)): each weight is then (2, out, in), each bias (2, out), and a
+pass runs both networks with one np.matmul per layer, in the same code
+as an unstacked network. An input without the axis is shared.
+
 Buffers are float32 (DTYPE). A pass computes in its network's dtype, the
 sampler in its head's, casting inputs once on entry, so a float64 network
 runs the same code (finite_difference_check uses one).
@@ -78,34 +83,40 @@ def carve(layout: list, flat: np.ndarray | None = None) -> tuple[np.ndarray, lis
 
 class Mlp:
     """A tanh MLP; weight k maps layer k-1 to layer k. weights and biases
-    are views into flat, which may be a block of a policy's buffer."""
+    are views into flat, which may be a block of a policy's buffer. lead
+    is the stack axis, () for a single network: weight k is then
+    lead + (dims[k], dims[k-1]) and bias k lead + (dims[k],)."""
 
-    def __init__(self, dims: list[int], flat: np.ndarray | None = None):
+    def __init__(self, dims: list[int], flat: np.ndarray | None = None, lead: tuple = ()):
         self.dims = list(dims)
-        self.flat, arrays = carve(shapes_of([self.dims]), flat)
+        self.lead = tuple(lead)
+        self.flat, arrays = carve([self.lead + s for s in shapes_of([self.dims])], flat)
         self.weights, self.biases = arrays[0::2], arrays[1::2]
         self.forwards = 0     # forward passes run; only the latest one's cache is valid
         self._rows = None     # the row count the workspace below is sized for
-        self._hidden = []     # one (rows, width) activation buffer per hidden layer
-        self._scratch = None  # two backward buffers of rows * (widest hidden layer)
+        self._hidden = []     # one lead + (rows, width) activation buffer per hidden layer
+        self._scratch = None  # two backward buffers of lead * rows * (widest hidden layer)
 
     def _activations(self, rows: int) -> list[np.ndarray]:
         """The hidden-layer buffers for a forward pass of `rows` rows,
         reallocated (with no backward scratch) when the row count changes."""
         if rows != self._rows:
             self._rows = rows
-            self._hidden = [np.empty((rows, width), self.flat.dtype) for width in self.dims[1:-1]]
+            self._hidden = [np.empty(self.lead + (rows, width), self.flat.dtype)
+                            for width in self.dims[1:-1]]
             self._scratch = None
         return self._hidden
 
     def _backward_buffers(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two distinct (rows, width) scratch arrays for a hidden layer of
-        this width, carved from buffers allocated on the first backward pass."""
+        """Two distinct lead + (rows, width) scratch arrays for a hidden
+        layer of this width, carved from buffers allocated on the first
+        backward pass."""
+        shape = self.lead + (self._rows, width)
         if self._scratch is None:
-            self._scratch = np.empty((2, self._rows * max(self.dims[1:-1])), self.flat.dtype)
-        n = self._rows * width
-        return (self._scratch[0, :n].reshape(self._rows, width),
-                self._scratch[1, :n].reshape(self._rows, width))
+            self._scratch = np.empty((2, math.prod(shape[:-1]) * max(self.dims[1:-1])),
+                                     self.flat.dtype)
+        n = math.prod(shape)
+        return self._scratch[0, :n].reshape(shape), self._scratch[1, :n].reshape(shape)
 
 
 def init_uniform(weights: list[np.ndarray], rng) -> None:
@@ -130,7 +141,7 @@ class MlpCache:
     only until that network's next forward pass."""
 
     dims: list[int]
-    inputs: list[np.ndarray]   # input to each layer, 2-d (batch, features)
+    inputs: list[np.ndarray]   # input to each layer, (..., batch, features)
     post: list[np.ndarray]     # post-activation output of each layer
     was_1d: bool
     forward: int               # the network's forward counter after this pass
@@ -141,23 +152,23 @@ def mlp_forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, MlpCache]:
     x = np.asarray(x, dtype=mlp.flat.dtype)
     was_1d = x.ndim == 1
     h = x[None, :] if was_1d else x
-    if h.shape[-1] != mlp.weights[0].shape[1]:
+    if h.shape[-1] != mlp.weights[0].shape[-1]:
         raise ConfigurationError(
-            f"input has {h.shape[-1]} features, first layer expects {mlp.weights[0].shape[1]}"
+            f"input has {h.shape[-1]} features, first layer expects {mlp.weights[0].shape[-1]}"
         )
     inputs, post = [], []
     # The hidden layers, each into its workspace buffer; then the linear output.
-    for w, b, z in zip(mlp.weights, mlp.biases, mlp._activations(h.shape[0])):
+    for w, b, z in zip(mlp.weights, mlp.biases, mlp._activations(h.shape[-2])):
         inputs.append(h)
-        np.matmul(h, w.T, out=z)
-        z += b
+        np.matmul(h, np.swapaxes(w, -1, -2), out=z)
+        z += b[..., None, :]
         h = np.tanh(z, out=z)
         post.append(h)
     inputs.append(h)
-    h = h @ mlp.weights[-1].T + mlp.biases[-1]
+    h = h @ np.swapaxes(mlp.weights[-1], -1, -2) + mlp.biases[-1][..., None, :]
     post.append(h)
     mlp.forwards += 1
-    out = h[0] if was_1d else h
+    out = h[..., 0, :] if was_1d else h
     return out, MlpCache(mlp.dims, inputs, post, was_1d, mlp.forwards)
 
 
@@ -168,9 +179,10 @@ def mlp_backward(
 
     `output_grad` is dL/d(output); returns the parameter gradient (summed
     over the batch) and a fresh dL/d(input). The parameter gradient is
-    written into `grad`, an Mlp of the same dims (e.g. a block of a
-    policy's gradient vector); with grad None only the input gradient is
-    computed, and None is returned in its place.
+    written into `grad`, an Mlp of the same dims and stack (e.g. a block
+    of a policy's gradient vector); with grad None only the input
+    gradient is computed, and None is returned in its place. A stacked
+    network returns one input gradient per network, even for a shared input.
     """
     if cache.dims != mlp.dims:
         raise InternalError("backward cache does not match this network")
@@ -178,14 +190,14 @@ def mlp_backward(
         raise InternalError("backward cache is stale: the network ran a forward pass since")
     g = np.asarray(output_grad, dtype=mlp.flat.dtype)
     if cache.was_1d:
-        g = g[None, :]
+        g = g[..., None, :]
     if g.shape != cache.post[-1].shape:
         raise InternalError("output_grad shape does not match cached forward output")
     dz = g
     for k in range(len(mlp.weights) - 1, -1, -1):
         if grad is not None:
-            np.matmul(dz.T, cache.inputs[k], out=grad.weights[k])
-            np.sum(dz, axis=0, out=grad.biases[k])
+            np.matmul(np.swapaxes(dz, -1, -2), cache.inputs[k], out=grad.weights[k])
+            np.sum(dz, axis=-2, out=grad.biases[k])
         if k == 0:
             break
         # dz <- (dz @ W_k) * (1 - post**2), back through layer k-1's tanh
@@ -196,7 +208,7 @@ def mlp_backward(
         np.subtract(1.0, factor, out=factor)
         dz = np.multiply(dh, factor, out=factor)
     dx = dz @ mlp.weights[0]
-    return grad, dx[0] if cache.was_1d else dx
+    return grad, dx[..., 0, :] if cache.was_1d else dx
 
 
 # Adam's fixed constants (Kingma & Ba, 2015); only the learning rate is configurable.
@@ -342,11 +354,12 @@ def finite_difference_check(mlp: Mlp, x: np.ndarray, h: float = 1e-5) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     The scalar probe loss is ||output||^2 / 2, so output_grad = output; it
-    runs on a float64 copy of mlp. Used by the grad-check CLI and the tests.
+    runs on a float64 copy of mlp, stack included. Used by the grad-check
+    CLI and the tests.
     """
-    mlp = Mlp(mlp.dims, mlp.flat.astype(np.float64))
+    mlp = Mlp(mlp.dims, mlp.flat.astype(np.float64), mlp.lead)
     out, cache = mlp_forward(mlp, x)
-    grad = mlp_backward(mlp, cache, out, Mlp(mlp.dims))[0].flat
+    grad = mlp_backward(mlp, cache, out, Mlp(mlp.dims, lead=mlp.lead))[0].flat
     flat = mlp.flat
     worst = 0.0
     for i in range(flat.size):

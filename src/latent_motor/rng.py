@@ -53,7 +53,7 @@ class CountingStream:
         return {"state": _encode_state(self._bg.state), "draws": self.draws}
 
     def restore(self, payload: dict, name: str) -> None:
-        self._bg.state = _decode_state(payload["state"])
+        self._bg.state = _decode_state(payload["state"], name)
         if type(payload["draws"]) is not int or payload["draws"] < 0:  # not bool either
             raise CheckpointError(f"rng stream {name}: draws must be an integer >= 0, "
                                   f"got {payload['draws']!r}")
@@ -72,45 +72,49 @@ def _encode_state(state: dict) -> dict:
     }
 
 
-def _decode_state(enc: dict) -> dict:
-    return {
-        "bit_generator": enc["bit_generator"],
-        "state": {"state": int(enc["state"]), "inc": int(enc["inc"])},
-        "has_uint32": int(enc["has_uint32"]),
-        "uinteger": int(enc["uinteger"]),
-    }
+def _decode_state(enc: dict, name: str) -> dict:
+    """The PCG64 state exactly as _encode_state writes it: state and inc
+    decimal strings (of 128-bit ints), has_uint32 and uinteger JSON ints of
+    1 and 32 bits. Any other value raises CheckpointError."""
+    ints = {}
+    for key, bits in (("state", 128), ("inc", 128), ("has_uint32", 1), ("uinteger", 32)):
+        value = ints[key] = enc[key]
+        if bits == 128:  # as str() writes it, so that a re-save writes the same text
+            ok = type(value) is str and value.isascii() and value.isdecimal()
+            ints[key] = int(value) if ok and str(int(value)) == value else None
+        if type(ints[key]) is not int or not 0 <= ints[key] < 2 ** bits:  # no bool either
+            raise CheckpointError(f"rng stream {name}: state.{key} must be "
+                                  f"{'a decimal string' if bits == 128 else 'an integer'} "
+                                  f"in [0, 2**{bits}), got {value!r}")
+    return {"bit_generator": enc["bit_generator"],
+            "state": {"state": ints["state"], "inc": ints["inc"]},
+            "has_uint32": ints["has_uint32"], "uinteger": ints["uinteger"]}
 
 
 class RngStreams:
     """All mutable randomness of a run, split by purpose."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
         self.streams = {
-            name: CountingStream([self.seed, sid]) for name, sid in STREAM_IDS.items()
+            name: CountingStream([int(seed), sid]) for name, sid in STREAM_IDS.items()
         }
 
     def get(self, name: str) -> CountingStream:
         return self.streams[name]
 
     def state(self) -> dict:
-        return {
-            "seed": self.seed,
-            "streams": {name: s.state() for name, s in self.streams.items()},
-        }
+        return {"streams": {name: s.state() for name, s in self.streams.items()}}
 
-    @classmethod
-    def from_state(cls, payload: dict) -> "RngStreams":
-        """Streams restored from state(); it must hold exactly the STREAM_IDS names."""
-        out = cls(payload["seed"])
+    def restore(self, payload: dict) -> None:
+        """Set every stream to its state in state(), which must hold exactly
+        the STREAM_IDS names; the states decide every later draw."""
         names = set(payload["streams"])
         if names != set(STREAM_IDS):
             raise CheckpointError(
                 f"rng streams must be {sorted(STREAM_IDS)}: missing "
                 f"{sorted(set(STREAM_IDS) - names)}, unknown {sorted(names - set(STREAM_IDS))}")
         for name in STREAM_IDS:
-            out.streams[name].restore(payload["streams"][name], name)
-        return out
+            self.streams[name].restore(payload["streams"][name], name)
 
 
 def eval_generator(eval_seed: int, *key: int) -> np.random.Generator:

@@ -16,7 +16,8 @@ Per update step:
   * targets track the critics with a Polyak step.
 
 Critics condition on a one-hot task label, never on the task embedding,
-so embedding gradients flow through the policy objective alone.
+so embedding gradients flow through the policy objective alone. Q1 and
+Q2 are slices 0 and 1 of one network stacked on a leading axis (see nn).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .envs import (
     obs_dim,
 )
 from .errors import ConfigurationError, TrainingDiverged
-from .nn import Mlp, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init, soft_update
+from .nn import Mlp, adam_init, adam_step, init_uniform, mlp_backward, mlp_forward, soft_update
 from .policies import build_policy
 from .replay import Batch, ReplayBuffer
 from .rng import RngStreams, eval_generator
@@ -135,24 +136,21 @@ class SacModel:
                                    config.hidden_width, config.normalize_lte)
         qdims = [self.obs_dim + self.action_dim + self.n_tasks,
                  config.hidden_width, config.hidden_width, config.hidden_width, 1]
-        self.q1 = mlp_init(qdims, init)
-        self.q2 = mlp_init(qdims, init)
-        self.q1_target = Mlp(qdims, self.q1.flat.copy())
-        self.q2_target = Mlp(qdims, self.q2.flat.copy())
+        self.q = Mlp(qdims, lead=(2,))
+        for k in range(2):  # critic k draws its weights after critic k-1's
+            init_uniform([w[k] for w in self.q.weights], init)
+        self.q_target = Mlp(qdims, self.q.flat.copy(), lead=(2,))
         self.log_alpha = np.array(0.0)
         self.opt_policy = adam_init(self.policy.flat, lr=config.lr)
-        self.opt_q1 = adam_init(self.q1.flat, lr=config.lr)
-        self.opt_q2 = adam_init(self.q2.flat, lr=config.lr)
+        self.opt_q = adam_init(self.q.flat, lr=config.lr)
         self.opt_alpha = adam_init(self.log_alpha, lr=config.lr)
-        # Buffers every update reuses: critic gradients, and a copy of what a
+        # Buffers every update reuses: the critic gradient, and a copy of what a
         # critic step changes, so that a failed actor or temperature phase can undo it.
-        self._q_grads = (Mlp(qdims), Mlp(qdims))
-        self._critic_state = [self.q1.flat, self.q2.flat, self.opt_q1.m, self.opt_q1.v,
-                              self.opt_q2.m, self.opt_q2.v]
+        self._q_grad = Mlp(qdims, lead=(2,))
+        self._critic_state = [self.q.flat, self.opt_q.m, self.opt_q.v]
         self._critic_copy = [np.empty_like(a) for a in self._critic_state]
         self._eye = np.eye(self.n_tasks)
         self._bad_steps = 0
-        self.buffer = None  # attached by train() for post-run inspection
 
     @property
     def alpha(self) -> float:
@@ -185,10 +183,9 @@ def q_target(model: SacModel, batch: Batch) -> np.ndarray:
     samp = model.rngs.get("policy").standard_normal((b, model.action_dim))
     a2, logp2, _ = model.policy.forward_train(batch.next_obs, batch.task_id, None, samp)
     onehot = model.onehot(batch.task_id)
-    x2 = np.concatenate([batch.next_obs, a2, onehot], axis=1, dtype=model.q1.flat.dtype)
-    q1t = mlp_forward(model.q1_target, x2)[0][:, 0]
-    q2t = mlp_forward(model.q2_target, x2)[0][:, 0]
-    v = np.minimum(q1t, q2t) - model.alpha * logp2
+    x2 = np.concatenate([batch.next_obs, a2, onehot], axis=1, dtype=model.q.flat.dtype)
+    qt = mlp_forward(model.q_target, x2)[0][..., 0]
+    v = np.minimum(qt[0], qt[1]) - model.alpha * logp2
     return batch.reward + model.config.gamma * v.astype(np.float64)  # float64, as r is
 
 
@@ -219,22 +216,18 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     cfg = model.config
     onehot = model.onehot(batch.task_id)
 
-    # Critics: both gradients are checked before either is applied (q2's
-    # pass does not read q1).
+    # Critics: one pass of both, checked before the step is applied.
     y = q_target(model, batch)
-    x = np.concatenate([batch.obs, batch.action, onehot], axis=1, dtype=model.q1.flat.dtype)
-    losses, grads = [], []
-    for q, grad in zip((model.q1, model.q2), model._q_grads):
-        pred, cache = mlp_forward(q, x)
-        err = pred[:, 0] - y
-        losses.append(0.5 * float(np.mean(err ** 2)))
-        grads.append(mlp_backward(q, cache, (err / b)[:, None], grad)[0].flat)
-    if not _finite(losses, *grads):
+    x = np.concatenate([batch.obs, batch.action, onehot], axis=1, dtype=model.q.flat.dtype)
+    pred, cache = mlp_forward(model.q, x)
+    err = pred[..., 0] - y
+    losses = [0.5 * float(np.mean(e ** 2)) for e in err]
+    grad = mlp_backward(model.q, cache, (err / b)[..., None], model._q_grad)[0].flat
+    if not _finite(losses, grad):
         return None
     for state, copy in zip(model._critic_state, model._critic_copy):
         np.copyto(copy, state)
-    adam_step(model.q1.flat, grads[0], model.opt_q1)
-    adam_step(model.q2.flat, grads[1], model.opt_q2)
+    adam_step(model.q.flat, grad, model.opt_q)
 
     # Actor: reparameterized actions with fresh noisy embeddings.
     lte_noise = None
@@ -243,20 +236,17 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     samp = model.rngs.get("policy").standard_normal((b, model.action_dim))
     action, logp, pcache = model.policy.forward_train(batch.obs, batch.task_id,
                                                       lte_noise, samp)
-    xa = np.concatenate([batch.obs, action, onehot], axis=1, dtype=model.q1.flat.dtype)
-    q1v, c1 = mlp_forward(model.q1, xa)
-    q2v, c2 = mlp_forward(model.q2, xa)
-    q1v, q2v = q1v[:, 0], q2v[:, 0]
-    qmin = np.minimum(q1v, q2v)
+    xa = np.concatenate([batch.obs, action, onehot], axis=1, dtype=model.q.flat.dtype)
+    qv, qcache = mlp_forward(model.q, xa)
+    qv = qv[..., 0]
+    qmin = np.minimum(qv[0], qv[1])
     alpha = model.alpha
     j_pi = float(np.mean(alpha * logp - qmin))
-    take1 = (q1v <= q2v).astype(q1v.dtype)
-    d_q1out = (-take1 / b)[:, None]
-    d_q2out = (-(1.0 - take1) / b)[:, None]
-    _, dx1 = mlp_backward(model.q1, c1, d_q1out)  # the input gradient alone
-    _, dx2 = mlp_backward(model.q2, c2, d_q2out)
+    take1 = (qv[0] <= qv[1]).astype(qv.dtype)
+    d_qout = (-np.stack([take1, 1.0 - take1]) / b)[..., None]
+    _, dx = mlp_backward(model.q, qcache, d_qout)  # the input gradient alone
     sl = slice(model.obs_dim, model.obs_dim + model.action_dim)
-    d_action = dx1[:, sl] + dx2[:, sl]
+    d_action = dx[0, :, sl] + dx[1, :, sl]
     d_logp = np.full(b, alpha / b)
     pgrad = model.policy.backward_train(pcache, d_action, d_logp)
 
@@ -267,15 +257,13 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     if not _finite([j_pi, j_alpha], pgrad, d_log_alpha):
         for state, copy in zip(model._critic_state, model._critic_copy):
             np.copyto(state, copy)
-        model.opt_q1.step -= 1
-        model.opt_q2.step -= 1
+        model.opt_q.step -= 1
         return None
     adam_step(model.policy.flat, pgrad, model.opt_policy)
     adam_step(model.log_alpha, d_log_alpha, model.opt_alpha)
 
     # Targets.
-    soft_update(model.q1_target, model.q1, cfg.tau)
-    soft_update(model.q2_target, model.q2, cfg.tau)
+    soft_update(model.q_target, model.q, cfg.tau)
 
     return LossReport(losses[0], losses[1], j_pi, j_alpha, model.alpha)
 
@@ -466,5 +454,4 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
                                      mean_l["j_alpha"], model.alpha))
         if stop_fn is not None and stop_fn(epoch, reports):
             break
-    model.buffer = buffer
     return model, curves

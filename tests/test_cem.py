@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latent_motor.cem import CemConfig, adaptation_curve, cem_adapt, cem_optimize
+from latent_motor.cem import CemConfig, cem_adapt, cem_optimize
 from latent_motor.envs import TaskSpec, make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.sac import SacModel, TrainConfig
@@ -122,31 +122,6 @@ def test_adapt_runs_on_tiny_model():
     assert best.shape == (3,)
     assert len(trace.epochs) == 2
     assert np.all(np.diff(trace.best_returns()) >= 0.0)
-
-
-def test_adaptation_curve_single_trace():
-    cfg = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=4, seed=2)
-    _, trace = cem_optimize(pole_returns, cfg)
-    rows = adaptation_curve([trace])
-    assert [r["mean_best_return"] for r in rows] == trace.best_returns().tolist()
-    assert all(r["std_best_return"] == 0.0 for r in rows)
-
-
-def test_adaptation_curve_identical_traces_zero_std():
-    cfg = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=3, seed=2)
-    _, t1 = cem_optimize(pole_returns, cfg)
-    _, t2 = cem_optimize(pole_returns, cfg)
-    rows = adaptation_curve([t1, t2])
-    assert all(r["std_best_return"] == 0.0 for r in rows)
-
-
-def test_adaptation_curve_ragged_rejected():
-    c1 = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=3, seed=2)
-    c2 = CemConfig(elite_capacity=2, samples_per_elite=2, adapt_epochs=4, seed=2)
-    _, t1 = cem_optimize(pole_returns, c1)
-    _, t2 = cem_optimize(pole_returns, c2)
-    with pytest.raises(ConfigurationError):
-        adaptation_curve([t1, t2])
 
 
 def test_config_validation():

@@ -66,14 +66,14 @@ def saved_doc(tmp_path, kind="ear"):
 
 
 def lookup(doc, field):
-    """The value of a dotted field such as "adam.q2.v" or "tasks.0.target"."""
+    """The value of a dotted field such as "adam.q.v" or "tasks.0.target"."""
     for key in field.split("."):
         doc = doc[int(key)] if isinstance(doc, list) else doc[key]
     return doc
 
 
 def replace_field(doc, field, value):
-    """Set a dotted field such as "adam.q2.v"; value None deletes it."""
+    """Set a dotted field such as "adam.q.v"; value None deletes it."""
     head, _, last = field.rpartition(".")
     doc = lookup(doc, head) if head else doc
     if value is None:
@@ -86,14 +86,15 @@ def with_bad_entry(model, block, bad):
     """(field, stored array): the stored flat array that holds the named
     parameter block, with the block's last entry set to bad. A policy
     block is named as the model holds it, e.g. "policy.encoder.weights[0]"
-    (the model is changed too); "adam.q1.v[1]" is array 1 of q1's second
-    moment, in q1's layout."""
+    (the model is changed too); "adam.q.v[1]" is array 1 of the critics'
+    second moment, in the stacked critic layout (so its last entry is Q2's)."""
     head, _, index = block.rstrip("]").partition("[")
     if head.startswith("adam."):
         _, name, moment = head.split(".")
-        layout = {"policy": model.policy.layout, "alpha": [()]}.get(name, [model.q1.dims])
+        shapes = {"policy": shapes_of(model.policy.layout), "alpha": [()],
+                  "q": [model.q.lead + s for s in shapes_of([model.q.dims])]}[name]
         flat = getattr(getattr(model, f"opt_{name}"), moment).copy()
-        carve(shapes_of(layout), flat)[1][int(index)].reshape(-1)[-1] = bad
+        carve(shapes, flat)[1][int(index)].reshape(-1)[-1] = bad
         return head, flat
     target = model
     for attr in head.split("."):
@@ -121,7 +122,7 @@ def test_round_trip_preserves_every_parameter(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert np.array_equal(model.policy.flat, loaded.policy.flat)
-    assert np.array_equal(model.q1.flat, loaded.q1.flat)
+    assert np.array_equal(model.q.flat, loaded.q.flat)
     assert float(model.log_alpha) == float(loaded.log_alpha)
     assert model.rngs.state() == loaded.rngs.state()
     assert np.array_equal(model.opt_policy.m, loaded.opt_policy.m)
@@ -172,13 +173,14 @@ def test_tampered_embedding_rejected(tmp_path):
 
 @pytest.mark.parametrize("field,stored", [
     # a one-element buffer must not be broadcast to the whole network
-    ("q1", [0.25]),
-    ("q1_target", np.zeros((8, 4))),
+    ("q", [0.25]),
+    ("q_target", np.zeros((8, 4))),
     # second moments are shape-checked like first moments; alpha's are 0-d
-    ("adam.q2.v", np.ones(3)),
+    ("adam.q.v", np.ones(3)),
     ("adam.alpha.m", [0.0]),
     ("lte_set", np.ones((2, 3))),
-])
+], ids=["q1-stored0", "q1_target-stored1", "adam.q2.v-stored2", "adam.alpha.m-stored3",
+        "lte_set-stored4"])
 def test_wrong_shaped_array_rejected(tmp_path, field, stored):
     path, doc = saved_doc(tmp_path)
     replace_field(doc, field, encode(stored, lookup(doc, field)))
@@ -196,7 +198,7 @@ def test_wrong_shaped_array_rejected(tmp_path, field, stored):
     ("mhmt", "policy.head_b"),
     ("mhmt", "policy.trunk.weights[0]"),
     ("ear", "adam.policy.m[0]"),
-    ("ohe", "adam.q1.v[1]"),
+    pytest.param("ohe", "adam.q.v[1]", id="ohe-adam.q1.v[1]"),
     ("mhmt", "adam.alpha.m[0]"),
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -215,18 +217,20 @@ def test_non_finite_array_rejected(tmp_path, kind, field, bad):
 
 
 @pytest.mark.parametrize("stored,fragment", [
-    ({"shape": [4], "f4": "not base64!"}, "malformed array q1"),
+    ({"shape": [4], "f4": "not base64!"}, "malformed array q"),
     ({"shape": [3], "f4": base64.b64encode(bytes(32)).decode()}, "cannot reshape"),
     ({"shape": [4], "f4": base64.b64encode(bytes(31)).decode()}, "multiple of element size"),
     ({"f4": base64.b64encode(bytes(32)).decode()}, "'shape'"),
-    ([0.0, 0.0, 0.0, 0.0], "malformed array q1"),
-    (None, "malformed checkpoint field: 'q1'"),  # the field is missing
-    # q1 is float32: float64 bytes must not be read as float32 or be converted
-    ({"shape": [4], "f8": base64.b64encode(bytes(32)).decode()}, "malformed array q1: 'f4'"),
-])
+    ([0.0, 0.0, 0.0, 0.0], "malformed array q"),
+    (None, "malformed checkpoint field: 'q'"),  # the field is missing
+    # q is float32: float64 bytes must not be read as float32 or be converted
+    ({"shape": [4], "f8": base64.b64encode(bytes(32)).decode()}, "malformed array q: 'f4'"),
+], ids=["stored0-malformed array q1", "stored1-cannot reshape",
+        "stored2-multiple of element size", "stored3-'shape'", "stored4-malformed array q1",
+        "None-malformed checkpoint field: 'q1'", "stored6-malformed array q1: 'f4'"])
 def test_malformed_array_rejected(tmp_path, stored, fragment):
     path, doc = saved_doc(tmp_path)
-    replace_field(doc, "q1", stored)
+    replace_field(doc, "q", stored)
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
@@ -236,10 +240,10 @@ def test_malformed_array_rejected(tmp_path, stored, fragment):
 @pytest.mark.parametrize("step", [-5, 1.7, True, "4"])
 def test_bad_adam_step_rejected(tmp_path, step):
     path, doc = saved_doc(tmp_path)
-    doc["adam"]["q1"]["step"] = step
+    doc["adam"]["q"]["step"] = step
     open(path, "w").write(json.dumps(doc))
     with pytest.raises(CheckpointError,
-                       match=re.escape(f"adam.q1.step must be an integer >= 0, got {step!r}")):
+                       match=re.escape(f"adam.q.step must be an integer >= 0, got {step!r}")):
         load_checkpoint(path)
 
 
@@ -313,6 +317,12 @@ def test_bad_stored_record_exits_1_with_one_line(tmp_path, capsys, field, value,
     # config, constants and tasks are read as config sections are: each value
     # has its field's annotated type and is finite; any failure of them, or of
     # the model they build, is one CheckpointError line
+    assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment)
+
+
+def assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
+    """`eval` on a saved ear model with field set to value fails with one
+    CheckpointError line holding fragment, and writes no eval.json."""
     path, doc = saved_doc(tmp_path)
     replace_field(doc, field, value)
     open(path, "w").write(json.dumps(doc))
@@ -324,9 +334,45 @@ def test_bad_stored_record_exits_1_with_one_line(tmp_path, capsys, field, value,
     assert not os.path.exists(os.path.join(out, "eval.json"))
 
 
+STATE = "rng.streams.batch.state"
+
+
+@pytest.mark.parametrize("field,value,fragment", [
+    # the stream state must be exactly what the saver writes: decimal strings
+    # below 2**128 for state and inc, has_uint32 0 or 1, uinteger below 2**32
+    (f"{STATE}.inc", "-1", "state.inc must be a decimal string in [0, 2**128), got '-1'"),
+    (f"{STATE}.state", str(2 ** 128), "state.state must be a decimal string"),
+    (f"{STATE}.state", 5, "state.state must be a decimal string in [0, 2**128), got 5"),
+    (f"{STATE}.inc", "0123", "state.inc must be a decimal string"),
+    (f"{STATE}.inc", True, "state.inc must be a decimal string"),
+    (f"{STATE}.inc", 1.7, "state.inc must be a decimal string"),
+    (f"{STATE}.has_uint32", 1e300, "state.has_uint32 must be an integer in [0, 2**1)"),
+    (f"{STATE}.has_uint32", True, "state.has_uint32 must be an integer"),
+    (f"{STATE}.has_uint32", 2, "state.has_uint32 must be an integer in [0, 2**1), got 2"),
+    (f"{STATE}.uinteger", -1, "state.uinteger must be an integer in [0, 2**32), got -1"),
+    (f"{STATE}.uinteger", 2 ** 32, "state.uinteger must be an integer in [0, 2**32)"),
+    (f"{STATE}.uinteger", 1.7, "state.uinteger must be an integer"),
+    ("log_alpha", True, "log_alpha must be a float, got True"),
+    ("constants.dt", -0.05, "constants.dt must be > 0, got -0.05"),
+    ("constants.f_max", -2.0, "constants.f_max must be > 0, got -2.0"),
+    ("constants.gravity", 0.0, "constants.gravity must be > 0, got 0.0"),
+    ("constants.jump_thrust", 0.0, "constants.jump_thrust must be > 0, got 0.0"),
+    ("constants.drag", -0.1, "constants.drag must be >= 0, got -0.1"),
+    ("constants.jump_drag", -1.0, "constants.jump_drag must be >= 0, got -1.0"),
+    ("constants.reset_vel_range", -1.0, "constants.reset_vel_range must be >= 0, got -1.0"),
+], ids=["inc-neg", "state-2^128", "state-int", "inc-zero-pad", "inc-true", "inc-float",
+        "has_uint32-1e300", "has_uint32-true", "has_uint32-2", "uinteger-neg", "uinteger-2^32",
+        "uinteger-float", "log_alpha-true", "dt-neg", "f_max-neg", "gravity-0",
+        "jump_thrust-0", "drag-neg", "jump_drag-neg", "reset_vel_range-neg"])
+def test_bad_stored_value_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
+    # values that used to overflow with a traceback, load coerced, or load
+    # into physics that makes no sense
+    assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment)
+
+
 def test_non_finite_refused_on_save(tmp_path):
     model = small_model()
-    model.q1.weights[0][0, 0] = np.nan
+    model.q.weights[0][1, 0, 0] = np.nan
     with pytest.raises(CheckpointError):
         save_checkpoint(model, str(tmp_path / "bad.ckpt.json"))
 
@@ -334,7 +380,7 @@ def test_non_finite_refused_on_save(tmp_path):
 def test_payload_floats_survive_json_exactly():
     model = small_model()
     rt = json.loads(dump_bytes(checkpoint_payload(model)).decode())
-    for stored, array in [(rt["q1"], model.q1.flat), (rt["policy"], model.policy.flat),
+    for stored, array in [(rt["q"], model.q.flat), (rt["policy"], model.policy.flat),
                           (rt["adam"]["policy"]["m"], model.opt_policy.m),
                           (rt["adam"]["alpha"]["v"], model.opt_alpha.v),
                           (rt["lte_set"], model.lte_set())]:
@@ -343,10 +389,11 @@ def test_payload_floats_survive_json_exactly():
         assert decode(stored).tobytes() == array.tobytes()
     # networks and their moments are stored in float32, the temperature and
     # the embedding set in float64
-    assert dtype_key(rt["q1"]) == dtype_key(rt["adam"]["policy"]["m"]) == "f4"
+    assert dtype_key(rt["q"]) == dtype_key(rt["adam"]["policy"]["m"]) == "f4"
     assert dtype_key(rt["adam"]["alpha"]["v"]) == dtype_key(rt["lte_set"]) == "f8"
     # the stored config sets every hyperparameter; the optimizers keep only state
     assert all(set(opt) == {"m", "v", "step"} for opt in rt["adam"].values())
+    assert set(rt["adam"]) == {"policy", "q", "alpha"} and set(rt["rng"]) == {"streams"}
 
 
 def test_file_sha256_changes_with_content(tmp_path):

@@ -457,17 +457,19 @@ def as_version_1(doc):
 
 @pytest.mark.parametrize("damage,fragment", [
     (lambda doc: {**as_version_1(doc), "format_version": 1},
-     "unsupported checkpoint version 1; this build reads version 5"),
+     "unsupported checkpoint version 1; this build reads version 6"),
     (lambda doc: {**doc, "format_version": 2},
-     "unsupported checkpoint version 2; this build reads version 5"),
+     "unsupported checkpoint version 2; this build reads version 6"),
     (lambda doc: {**doc, "format_version": 3},
-     "unsupported checkpoint version 3; this build reads version 5"),
+     "unsupported checkpoint version 3; this build reads version 6"),
     (lambda doc: {**doc, "format_version": 4},
-     "unsupported checkpoint version 4; this build reads version 5"),
+     "unsupported checkpoint version 4; this build reads version 6"),
+    (lambda doc: {**doc, "format_version": 5},
+     "unsupported checkpoint version 5; this build reads version 6"),
     (lambda doc: [doc], "unsupported checkpoint version None"),
-    (lambda doc: doc["q1"].update(f4="%%corrupt%%"), "malformed array q1:"),
+    (lambda doc: doc["q"].update(f4="%%corrupt%%"), "malformed array q:"),
     (lambda doc: doc["policy"].update(shape=[3, 3]), "malformed array policy: cannot reshape"),
-], ids=["v1", "v2", "v3", "v4", "not-object", "bad-base64", "bad-shape"])
+], ids=["v1", "v2", "v3", "v4", "v5", "not-object", "bad-base64", "bad-shape"])
 def test_bad_checkpoint_exits_1_with_one_line(trained, tmp_path, capsys, damage, fragment):
     cfg, ckpt, _ = trained
     doc = json.loads(open(ckpt).read())

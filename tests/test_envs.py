@@ -18,7 +18,8 @@ from latent_motor.envs import (
     make_task_set,
 )
 from latent_motor.errors import ConfigurationError
-from latent_motor.sac import TrainConfig, evaluate_policy, train
+from latent_motor.replay import ReplayBuffer
+from latent_motor.sac import SacModel, TrainConfig, _collect, evaluate_policy
 
 
 def vel_task(target=1.0, ctrl=0.0):
@@ -209,10 +210,11 @@ def test_episode_truncates_at_max_frames():
     # rollouts count their own frames: every collected and every evaluated
     # episode runs exactly max_episode_frames steps
     consts = dataclasses.replace(DEFAULT_CONSTANTS, max_episode_frames=7)
-    cfg = TrainConfig(pretrain_epochs=1, train_epochs=1, optimization_times=1, batch_size=2,
-                      buffer_capacity=100, hidden_width=4, lse_dim=2)
-    model, _ = train(cfg, make_task_set(VEL1D, count=2), constants=consts)
-    assert len(model.buffer) == (1 + 1) * 2 * 7
+    cfg = TrainConfig(batch_size=2, buffer_capacity=100, hidden_width=4, lse_dim=2)
+    model = SacModel("ear", make_task_set(VEL1D, count=2), cfg, consts)
+    buffer = ReplayBuffer(cfg.buffer_capacity, model.obs_dim, model.action_dim)
+    _collect(model, buffer)
+    assert len(buffer) == 2 * 7
     rep = evaluate_policy(model, None, model.tasks[0], episodes=3, task_id=0)
     assert rep.traces.shape == (3, 7 + 1, 1)
 

@@ -13,6 +13,7 @@ from latent_motor.nn import (
     adam_step,
     finite_difference_check,
     gaussian_head,
+    init_uniform,
     mlp_backward,
     mlp_forward,
     mlp_init,
@@ -149,6 +150,34 @@ def test_workspace_pass_bit_identical_to_allocating_reference(dims, rows):
         assert dx.shape == x.shape
 
 
+@pytest.mark.parametrize("rows", [None, 3, 256])
+@pytest.mark.parametrize("dims", [[7, 64, 64, 64, 1], [4, 9, 3, 6], [3, 2]])
+def test_stacked_pass_bit_identical_to_one_pass_per_network(dims, rows):
+    # slice k of a stacked pass over a shared input equals the pass of an
+    # unstacked network holding slice k's parameters, bit for bit
+    rng = np.random.default_rng(len(dims) * 100 + (rows or 1))
+    stack = Mlp(dims, lead=(2,))
+    stack.flat[...] = rng.normal(scale=0.3, size=stack.flat.size)
+    nets = [Mlp(dims) for _ in range(2)]
+    for k, net in enumerate(nets):
+        for a, b in zip(net.weights + net.biases, stack.weights + stack.biases):
+            a[...] = b[k]
+    shape = (dims[0],) if rows is None else (rows, dims[0])
+    x = rng.normal(size=shape)
+    g = rng.normal(size=(2,) + shape[:-1] + (dims[-1],))
+    out, cache = mlp_forward(stack, x)
+    grad, dx = mlp_backward(stack, cache, g, Mlp(dims, lead=(2,)))
+    _, dx_only = mlp_backward(stack, cache, g)
+    assert out.shape == g.shape and dx.shape == (2,) + shape
+    for k, net in enumerate(nets):
+        out_k, cache_k = mlp_forward(net, x)
+        grad_k, dx_k = mlp_backward(net, cache_k, g[k], Mlp(dims))
+        assert out[k].tobytes() == out_k.tobytes()
+        for a, b in zip(grad.weights + grad.biases, grad_k.weights + grad_k.biases):
+            assert a[k].tobytes() == b.tobytes()
+        assert dx[k].tobytes() == dx_only[k].tobytes() == dx_k.tobytes()
+
+
 def test_input_gradient_only_matches_full_backward():
     rng = np.random.default_rng(8)
     mlp = mlp_init([10, 64, 64, 64, 1], rng)
@@ -191,12 +220,14 @@ def test_forward_passes_at_one_row_count_reuse_hidden_buffers():
 
 
 def test_gradients_exact_across_random_configurations():
+    # every other network is a stack of two, as the twin critics are
     rng = np.random.default_rng(42)
     worst = 0.0
-    for _ in range(100):
+    for i in range(100):
         n_layers = int(rng.integers(1, 5))
         dims = [int(rng.integers(1, 7)) for _ in range(n_layers + 1)]
-        mlp = mlp_init(dims, rng)
+        mlp = Mlp(dims, lead=((), (2,))[i % 2])
+        init_uniform(mlp.weights, rng)
         for w in mlp.weights:
             w += rng.normal(scale=0.3, size=w.shape)
         for b in mlp.biases:

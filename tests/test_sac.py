@@ -111,8 +111,7 @@ def test_buffer_empty_sample_rejected():
 
 def test_target_nets_equal_live_at_init():
     m = tiny_model()
-    for live, targ in ((m.q1, m.q1_target), (m.q2, m.q2_target)):
-        assert np.array_equal(live.flat, targ.flat)
+    assert np.array_equal(m.q.flat, m.q_target.flat)
 
 
 def test_lse_dimension_is_sixteen_by_default():
@@ -190,13 +189,13 @@ def test_q_target_arithmetic():
 
 def test_q_target_uses_min_of_targets():
     m = tiny_model()
-    # force q1_target to output +3 and q2_target +5 via final-layer bias
-    for net, c in ((m.q1_target, 3.0), (m.q2_target, 5.0)):
-        for w in net.weights:
-            w[:] = 0.0
-        for b in net.biases:
-            b[:] = 0.0
-        net.biases[-1][:] = c
+    # force target critic 0 to output +3 and target critic 1 +5 via final-layer bias
+    for k, c in ((0, 3.0), (1, 5.0)):
+        for w in m.q_target.weights:
+            w[k] = 0.0
+        for b in m.q_target.biases:
+            b[k] = 0.0
+        m.q_target.biases[-1][k] = c
     batch = random_batch(m, 4)
     batch.reward = np.zeros(4)
     y = q_target(m, batch)
@@ -242,29 +241,30 @@ def test_sac_update_at_batch_256_allocates_no_activation_temporaries():
 def test_networks_stay_float32_through_an_update(kind):
     m = tiny_model(kind)
     assert not sac_update(m, random_batch(m, 16)).skipped
-    nets = [m.q1, m.q2, m.q1_target, m.q2_target, *m._q_grads]
+    nets = [m.q, m.q_target, m._q_grad]
     nets += [v for v in vars(m.policy).values() if isinstance(v, Mlp)]
     grad = m.policy._grad  # an Mlp, or (flat, blocks) for a composite policy
     arrays = [m.policy.flat, grad.flat if isinstance(grad, Mlp) else grad[0]]
-    arrays += [a for opt in (m.opt_policy, m.opt_q1, m.opt_q2) for a in (opt.m, opt.v)]
+    arrays += [a for opt in (m.opt_policy, m.opt_q) for a in (opt.m, opt.v)]
     arrays += [a for net in nets for a in (net.flat, *net._hidden)]
     arrays += [net._scratch for net in nets if net._scratch is not None]
     assert all(a.dtype == np.float32 for a in arrays)
-    assert sum(net._scratch is not None for net in nets) >= 3  # critics and policy ran backward
+    assert sum(net._scratch is not None for net in nets) >= 2  # critic stack and policy ran backward
     # the temperature stays float64
     assert m.log_alpha.dtype == m.opt_alpha.m.dtype == m.opt_alpha.v.dtype == np.float64
 
 
 def update_state(m):
     """The bytes of everything an update may change, and the Adam steps."""
-    opts = (m.opt_policy, m.opt_q1, m.opt_q2, m.opt_alpha)
-    arrays = [m.policy.flat, m.q1.flat, m.q2.flat, m.q1_target.flat, m.q2_target.flat,
+    opts = (m.opt_policy, m.opt_q, m.opt_alpha)
+    arrays = [m.policy.flat, m.q.flat, m.q_target.flat,
               m.log_alpha] + [a for opt in opts for a in (opt.m, opt.v)]
     return [a.tobytes() for a in arrays] + [opt.step for opt in opts]
 
 
-def poison_forward(monkeypatch, net, nth):
-    """Make the nth sac.mlp_forward call on net (1-based) output NaN."""
+def poison_forward(monkeypatch, net, nth, k):
+    """Make slice k of the nth sac.mlp_forward call on the stacked net
+    (1-based) output NaN."""
     calls = []
     real = sac.mlp_forward
 
@@ -273,7 +273,8 @@ def poison_forward(monkeypatch, net, nth):
         if mlp is net:
             calls.append(mlp)
             if len(calls) == nth:
-                out = out * np.nan
+                out = out.copy()
+                out[k] = np.nan
         return out, cache
     monkeypatch.setattr(sac, "mlp_forward", forward)
 
@@ -290,11 +291,11 @@ def test_skipped_step_changes_nothing(monkeypatch, phase):
     assert all(a != b for a, b in zip(update_state(clean), before))
 
     if phase == "q1 loss":
-        poison_forward(monkeypatch, m.q1, 1)
+        poison_forward(monkeypatch, m.q, 1, 0)
     elif phase == "q2 loss":
-        poison_forward(monkeypatch, m.q2, 1)
-    elif phase == "j_pi":  # q1's second pass scores the actor's actions
-        poison_forward(monkeypatch, m.q1, 2)
+        poison_forward(monkeypatch, m.q, 1, 1)
+    elif phase == "j_pi":  # the critics' second pass scores the actor's actions
+        poison_forward(monkeypatch, m.q, 2, 0)
     elif phase == "policy gradient":
         real = m.policy.backward_train
 
@@ -330,7 +331,7 @@ def test_q_loss_zero_when_q_equals_target():
     # choose rewards so that y equals the current prediction exactly
     y0 = q_target(m, batch)
     x = np.concatenate([batch.obs, batch.action, m.onehot(batch.task_id)], axis=1)
-    pred1 = mlp_forward(m.q1, x)[0][:, 0]
+    pred1 = mlp_forward(m.q, x)[0][0, :, 0]
     m2 = tiny_model()
     batch.reward = batch.reward + (pred1 - y0)
     rep = sac_update(m2, batch)
@@ -346,8 +347,7 @@ def test_sac_update_analytic_single_transition():
     clone = SacModel("ear", make_task_set("vel1d", count=2), tiny_config())
     y = q_target(clone, batch)
     x = np.concatenate([batch.obs, batch.action, clone.onehot(batch.task_id)], axis=1)
-    p1 = mlp_forward(clone.q1, x)[0][:, 0]
-    p2 = mlp_forward(clone.q2, x)[0][:, 0]
+    p1, p2 = mlp_forward(clone.q, x)[0][..., 0]
     exp_jq1 = 0.5 * float(np.mean((p1 - y) ** 2))
     exp_jq2 = 0.5 * float(np.mean((p2 - y) ** 2))
     rep = sac_update(m, batch)
@@ -365,21 +365,22 @@ def test_lte_unit_norm_after_updates():
 
 def test_target_update_is_convex_combination():
     m = tiny_model()
-    before = m.q1_target.flat.copy()
+    before = m.q_target.flat.copy()
     sac_update(m, random_batch(m, 16))
     tau = m.config.tau
-    assert np.allclose(m.q1_target.flat, tau * m.q1.flat + (1 - tau) * before, atol=1e-12)
+    assert np.allclose(m.q_target.flat, tau * m.q.flat + (1 - tau) * before, atol=1e-12)
 
 
 # --- training loop ---
 
 def test_pretrain_fills_buffer_exactly():
     # default pretrain depth, then one more collection per training epoch:
-    # (20 + 1) epochs x N tasks x 200 frames
-    cfg = tiny_config(pretrain_epochs=20, train_epochs=1, optimization_times=1)
-    tasks = make_task_set("vel1d", count=2)
-    model, _ = train(cfg, tasks)
-    assert len(model.buffer) == (20 + 1) * 2 * 200
+    # each collection appends one 200-frame episode per task
+    m = tiny_model(count=2)
+    buffer = ReplayBuffer(m.config.buffer_capacity, m.obs_dim, m.action_dim)
+    for _ in range(20 + 1):
+        sac._collect(m, buffer)
+    assert len(buffer) == (20 + 1) * 2 * 200
 
 
 def test_curve_length_equals_train_epochs():
@@ -560,6 +561,6 @@ def test_full_run_determinism_bitwise():
     m1, c1 = train(cfg, tasks)
     m2, c2 = train(cfg, tasks)
     assert np.array_equal(m1.policy.flat, m2.policy.flat)
-    assert np.array_equal(m1.q1.flat, m2.q1.flat)
+    assert np.array_equal(m1.q.flat, m2.q.flat)
     assert float(m1.log_alpha) == float(m2.log_alpha)
     assert [vars(x) for x in c1] == [vars(y) for y in c2]

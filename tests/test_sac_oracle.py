@@ -90,7 +90,8 @@ def test_full_update_matches_straight_line_oracle():
     batch = Batch(obs=s, action=a, reward=r, next_obs=s2, task_id=np.zeros(2, np.int64))
 
     # Replay the exact draws the update will consume.
-    streams = RngStreams.from_state(model.rngs.state())
+    streams = RngStreams(cfg.seed)
+    streams.restore(model.rngs.state())
     noise_target = streams.get("policy").standard_normal((2, 1))
     lte_noise = streams.get("noise").standard_normal((2, 3)) * cfg.sigma_noise
     noise_actor = streams.get("policy").standard_normal((2, 1))
@@ -101,17 +102,20 @@ def test_full_update_matches_straight_line_oracle():
     # Target y (clean embedding, target critics, duplicated rows agree).
     a2, logp2 = policy_eval(model, s2, batch.task_id, None, noise_target)
     x2 = np.concatenate([s2, a2, onehot], axis=1)
-    q1t, _ = mlp_eval(model.q1_target.weights, model.q1_target.biases, x2)
-    q2t, _ = mlp_eval(model.q2_target.weights, model.q2_target.biases, x2)
+    # The twin critics are slices 0 and 1 of the stacked q and q_target.
+    q1t, _ = mlp_eval([w[0] for w in model.q_target.weights],
+                      [b[0] for b in model.q_target.biases], x2)
+    q2t, _ = mlp_eval([w[1] for w in model.q_target.weights],
+                      [b[1] for b in model.q_target.biases], x2)
     y = r + GAMMA * (np.minimum(q1t[:, 0], q2t[:, 0]) - alpha0 * logp2)
 
     # Critic losses and their Adam updates, replicated on copies.
     x = np.concatenate([s, a, onehot], axis=1)
     expected_jq = []
     updated_critics = []
-    for net in (model.q1, model.q2):
-        w = [wk.copy() for wk in net.weights]
-        b = [bk.copy() for bk in net.biases]
+    for k in range(2):
+        w = [wk[k].copy() for wk in model.q.weights]
+        b = [bk[k].copy() for bk in model.q.biases]
         pred, acts = mlp_eval(w, b, x)
         err = pred[:, 0] - y
         expected_jq.append(0.5 * float(np.mean(err ** 2)))

@@ -52,7 +52,7 @@ def test_every_function_and_method_annotation_resolves():
         functions += method_functions(obj) if inspect.isclass(obj) else [(obj.__name__, obj)]
     names = {name for name, _ in functions}
     assert {"lse_trajectory_analysis", "evaluate_sphere", "VecRollout.step",
-            "RngStreams.from_state", "SacModel.alpha"} <= names
+            "RngStreams.restore", "SacModel.alpha"} <= names
     for name, fn in functions:
         try:
             typing.get_type_hints(fn)
