@@ -14,11 +14,12 @@ running this before and after a refactor is its proof.
 The "model state" line hashes what a checkpoint stores, read back through
 the package's own loader: every network's flat parameter buffer, each
 Adam optimizer's moments and step count, log_alpha, and the states of
-the init, env, policy, noise and batch RNG streams. The stacked twin
-critic and its target and Adam moments are hashed as two unstacked
-critics, Q1 then Q2. It does not depend on the file format, so across a
-format change the state and curves.csv lines must stay equal while the
-model.ckpt.json line may not.
+the init, env, policy, noise and batch RNG streams. The twin critic, its
+target and its Adam moments are hashed as the model holds them, one
+buffer each with Q1 and Q2 stacked. It does not depend on the file
+format, so across a format change that keeps the in-memory layout the
+state and curves.csv lines must stay equal while the model.ckpt.json
+line may not.
 
 The analysis runs read the ear-vel1d checkpoint (compose reads
 ear-runjump, the one run/jump model) with that run's config. Each prints
@@ -43,7 +44,6 @@ import numpy as np
 
 from latent_motor.checkpoint import load_checkpoint
 from latent_motor.cli import main as cli_main
-from latent_motor.nn import Mlp
 
 TRAIN = {"pretrain_epochs": 2, "train_epochs": 3, "optimization_times": 25,
          "batch_size": 64, "buffer_capacity": 2000, "eval_episodes": 1}
@@ -83,26 +83,12 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def critic(flat: np.ndarray, q: Mlp, k: int) -> list[np.ndarray]:
-    """Critic k's weight and bias slices, layer by layer, of a buffer in
-    the layout of the stacked twin critic q: together, the flat buffer
-    of critic k alone."""
-    net = Mlp(q.dims, flat, q.lead)
-    return [a[k] for layer in zip(net.weights, net.biases) for a in layer]
-
-
 def state_sha256(path: str) -> str:
     """sha256 of the state of the model loaded from the checkpoint at path."""
     model = load_checkpoint(path)
-    q, opt_q = model.q, model.opt_q
-    arrays = [model.policy.flat]
-    arrays += [a for flat in (q.flat, model.q_target.flat) for k in (0, 1)
-               for a in critic(flat, q, k)]
-    arrays += [model.log_alpha, model.opt_policy.m, model.opt_policy.v,
-               np.array(float(model.opt_policy.step))]
-    for k in (0, 1):  # Q1's Adam state, then Q2's
-        arrays += [*critic(opt_q.m, q, k), *critic(opt_q.v, q, k), np.array(float(opt_q.step))]
-    arrays += [model.opt_alpha.m, model.opt_alpha.v, np.array(float(model.opt_alpha.step))]
+    arrays = [model.policy.flat, model.q.flat, model.q_target.flat, model.log_alpha]
+    for opt in (model.opt_policy, model.opt_q, model.opt_alpha):
+        arrays += [opt.m, opt.v, np.array(float(opt.step))]
     digest = hashlib.sha256()
     for a in arrays:
         digest.update(np.asarray(a, dtype="<f8").tobytes())

@@ -108,9 +108,8 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig) -> tuple[np.nd
 
     The policy networks stay frozen; each epoch's candidates are scored
     together with the deterministic policy on a fixed evaluation seed.
+    A baseline model is refused (by evaluate_embeddings) before any rollout.
     """
-    if model is None or model.kind != "ear":
-        raise ConfigurationError("adaptation needs a trained shared-interface model")
     if task.family != model.family:
         raise ConfigurationError(
             f"task family {task.family!r} does not match model family {model.family!r}")

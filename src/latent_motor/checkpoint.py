@@ -17,14 +17,15 @@ its two flat moments and its step count. The layout inside a buffer
 follows from the stored config, which rebuilds the model; a value the
 model derives, such as its family or its target entropy, is not stored,
 and neither is the root seed, since the stored stream states decide
-every draw. The tasks, constants and config must hold exactly their
-dataclass fields, so no field falls back to a default, and
-config.read_record checks each value against its field's annotation; a
-failure of these records, or of the model they build, is a
-CheckpointError. Loading decodes every array into that fresh model
-through one helper that checks its dtype key, its shape and that every
-entry is finite, then re-validates the Adam moments and steps, the
-stream states, log_alpha and the embedding invariants.
+every draw. Every JSON object in the file must hold exactly the keys
+the saver writes, so no value falls back to a default or is ignored,
+and config.read_record checks the tasks, constants and config against
+their fields' annotations; a failure of these records, or of the model
+they build, is a CheckpointError. Loading decodes every array into that
+fresh model through one helper that checks its dtype key, its shape and
+that every entry is finite, then re-validates the Adam moments and
+steps, the stream states, log_alpha and the embedding invariants (a
+degenerate task encoder is a CheckpointError too).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .config import read_record
 from .envs import EnvConstants, TaskSpec
-from .errors import CheckpointError, ConfigurationError
+from .errors import CheckpointError, ConfigurationError, DegenerateEmbedding
 from .sac import SacModel, TrainConfig
 
 FORMAT_VERSION = 6
@@ -66,16 +67,26 @@ def _decode(payload, dst: np.ndarray, name: str) -> None:
         raise CheckpointError(f"{name} has shape {list(src.shape)}, expected {list(dst.shape)}")
     if not np.all(np.isfinite(src)):
         raise CheckpointError(f"{name} has non-finite entries")
+    _exact_keys(payload, {"shape", key}, name)  # a missing key has failed above
     np.copyto(dst, src)
+
+
+def _exact_keys(stored, expected, where: str) -> None:
+    """Require the JSON object stored to hold exactly the keys of expected,
+    and, where expected maps a key to a dict or set, its value likewise."""
+    keys = set(stored) if isinstance(stored, dict) else set()
+    missing, unknown = sorted(set(expected) - keys), sorted(keys - set(expected))
+    if missing or unknown:
+        raise CheckpointError(f"{where} must hold the saved fields: missing {missing}, "
+                              f"unknown {unknown}")
+    for key, sub in expected.items() if isinstance(expected, dict) else ():
+        if isinstance(sub, (dict, set)):
+            _exact_keys(stored[key], sub, f"{where}.{key}")
 
 
 def _record(stored, cls, where: str):
     """The dataclass cls read from stored, which must hold exactly its fields."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    keys = set(stored) if isinstance(stored, dict) else set()
-    if keys != names:
-        raise CheckpointError(f"{where} must hold the {cls.__name__} fields: missing "
-                              f"{sorted(names - keys)}, unknown {sorted(keys - names)}")
+    _exact_keys(stored, {f.name for f in dataclasses.fields(cls)}, where)
     return read_record(cls, stored, where)
 
 
@@ -151,6 +162,7 @@ def load_checkpoint(path: str) -> SacModel:
         if type(payload["log_alpha"]) is not float:  # not an int or bool either
             raise CheckpointError(f"log_alpha must be a float, got {payload['log_alpha']!r}")
         model.log_alpha[...] = payload["log_alpha"]
+        _exact_keys(payload["adam"], dict.fromkeys(_optimizers(model), {"m", "v", "step"}), "adam")
         for name, st in _optimizers(model).items():
             stored = payload["adam"][name]
             _decode(stored["m"], st.m, f"adam.{name}.m")
@@ -162,9 +174,14 @@ def load_checkpoint(path: str) -> SacModel:
                 raise CheckpointError(
                     f"adam.{name}.step must be an integer >= 0, got {stored['step']!r}")
             st.step = stored["step"]
+        _exact_keys(payload["rng"], model.rngs.state(), "rng")
         model.rngs.restore(payload["rng"])
+        fields = {"format_version", "kind", "tasks", "constants", "config", *_buffers(model),
+                  "log_alpha", "adam", "rng"}
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])
+            fields.add("lte_set")
+        _exact_keys(payload, fields, "checkpoint")  # a missing field has failed above
     except ConfigurationError as exc:  # a stored record or the model it builds
         raise CheckpointError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
@@ -175,9 +192,10 @@ def load_checkpoint(path: str) -> SacModel:
 
 
 def _validate_embeddings(model: SacModel, encoded: dict) -> None:
-    lte = model.lte_set()
-    if model.config.normalize_lte and np.any(np.abs(np.linalg.norm(lte, axis=1) - 1.0) > 1e-9):
-        raise CheckpointError("stored embedding set is not unit-norm")
+    try:
+        lte = model.lte_set()
+    except DegenerateEmbedding as exc:
+        raise CheckpointError(f"stored task encoder is degenerate: {exc}") from exc
     stored = np.empty_like(lte)
     _decode(encoded, stored, "lte_set")
     if not np.allclose(stored, lte, atol=1e-12, rtol=0.0):

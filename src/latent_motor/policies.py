@@ -5,16 +5,18 @@ All three expose the same training surface:
   flat, layout                                          -> parameter buffer, its nn.carve layout
   forward_train(obs, task_ids, lte_noise, sample_noise) -> (action, log_prob, cache)
   backward_train(cache, d_action, d_log_prob)           -> gradient like flat, reused buffer
-  action_eval(obs, task_ids=..., lte_rows=...)          -> deterministic actions
+  action_eval(obs, cond)                                -> deterministic actions
 
-Every parameter array is a view into flat. The baselines act on
-task_ids. The shared-interface policy encodes the observation to a
-sensory embedding, looks up a unit-norm task embedding by task_id in
-training (in evaluation it is handed embedding rows, lte_rows),
-optionally perturbs it, and decodes the concatenation into a squashed
-Gaussian. Its backward pass chains through the sampler, the decoder, the
-encoder, and the two sphere projections back to the task-encoder
-weights; only this path carries gradient to the embeddings.
+Every parameter array is a view into flat. Training conditions on task
+ids; evaluation is handed cond, one row per observation as
+sac.SacModel.conditioning gives it: an embedding for the shared-interface
+policy, a task id for the baselines. The shared-interface policy encodes
+the observation to a sensory embedding, looks up a unit-norm task
+embedding by task id in training, optionally perturbs it, and decodes
+the concatenation into a squashed Gaussian. Its backward pass chains
+through the sampler, the decoder, the encoder, and the two sphere
+projections back to the task-encoder weights; only this path carries
+gradient to the embeddings.
 """
 
 from __future__ import annotations
@@ -125,14 +127,10 @@ class EarPolicy:
     def encode_obs(self, obs: np.ndarray) -> np.ndarray:
         return mlp_forward(self.encoder, obs)[0]
 
-    def action_eval(self, obs: np.ndarray, task_ids: np.ndarray | None = None,
-                    lte_rows: np.ndarray | None = None) -> np.ndarray:
-        """Deterministic actions for one embedding row per observation;
-        task_ids, the baselines' conditioning, is not used here."""
-        if lte_rows is None:
-            raise ConfigurationError("the shared-interface policy acts on lte_rows")
+    def action_eval(self, obs: np.ndarray, cond: np.ndarray) -> np.ndarray:
+        """Deterministic actions for one embedding row of cond per observation."""
         lse = self.encode_obs(obs)
-        dec_in = np.concatenate([lse, lte_rows], axis=1, dtype=lse.dtype)
+        dec_in = np.concatenate([lse, cond], axis=1, dtype=lse.dtype)
         head_raw, _ = mlp_forward(self.decoder, dec_in)
         out = gaussian_head(head_raw)
         return np.tanh(out.mean)
@@ -169,8 +167,8 @@ class OhePolicy:
         d_head = policy_sample_backward(cache.samp_cache, d_action, d_log_prob)
         return mlp_backward(self.net, cache.net_cache, d_head, self._grad)[0].flat
 
-    def action_eval(self, obs, task_ids=None, lte_rows=None):
-        head_raw, _ = mlp_forward(self.net, self._input(obs, task_ids))
+    def action_eval(self, obs, cond):
+        head_raw, _ = mlp_forward(self.net, self._input(obs, cond))
         return np.tanh(gaussian_head(head_raw).mean)
 
 
@@ -218,8 +216,8 @@ class MhmtPolicy:
         np.add.at(gb, cache.task_ids, dz)
         return grad
 
-    def action_eval(self, obs, task_ids=None, lte_rows=None):
-        h = self._head(obs, task_ids)
+    def action_eval(self, obs, cond):
+        h = self._head(obs, cond)
         head_raw, _ = mlp_forward(self.trunk, h)
         return np.tanh(gaussian_head(head_raw).mean)
 

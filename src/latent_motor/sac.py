@@ -114,7 +114,8 @@ class CurvePoint:
 
 
 class SacModel:
-    """Policy, twin critics with targets, temperature, and run state."""
+    """Policy, twin critics with targets, temperature, and run state. What
+    the policy kind changes is decided here: conditioning, embedding_noise."""
 
     def __init__(self, kind: str, tasks: list[TaskSpec], config: TrainConfig,
                  constants: EnvConstants = DEFAULT_CONSTANTS):
@@ -167,14 +168,26 @@ class SacModel:
         return self.tasks[task_index]
 
     def lte_for_task(self, task_index: int) -> np.ndarray:
-        lte = self.lte_set()
         self.task(task_index)
-        return lte[task_index]
+        return self.lte_set()[task_index]
 
     def lte_set(self) -> np.ndarray:
         if self.kind != "ear":
-            raise ConfigurationError("only the shared-interface policy has task embeddings")
+            raise ConfigurationError(f"a {self.kind} policy takes no task embedding")
         return self.policy.lte_set()
+
+    def conditioning(self, task_ids) -> np.ndarray:
+        """What the policy acts on in evaluation for each of task_ids: its
+        embedding for the shared-interface policy, the id for a baseline."""
+        return self.lte_set()[task_ids] if self.kind == "ear" else np.asarray(task_ids)
+
+    def embedding_noise(self, rows: int) -> np.ndarray | None:
+        """Training noise for rows task embeddings, drawn from the noise
+        stream; None (no draw) for a baseline or at sigma_noise 0."""
+        cfg = self.config
+        if self.kind == "ear" and cfg.sigma_noise > 0:
+            return self.rngs.get("noise").standard_normal((rows, cfg.lte_dim)) * cfg.sigma_noise
+        return None
 
 
 def q_target(model: SacModel, batch: Batch) -> np.ndarray:
@@ -230,9 +243,7 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
     adam_step(model.q.flat, grad, model.opt_q)
 
     # Actor: reparameterized actions with fresh noisy embeddings.
-    lte_noise = None
-    if model.kind == "ear" and cfg.sigma_noise > 0:
-        lte_noise = model.rngs.get("noise").standard_normal((b, cfg.lte_dim)) * cfg.sigma_noise
+    lte_noise = model.embedding_noise(b)
     samp = model.rngs.get("policy").standard_normal((b, model.action_dim))
     action, logp, pcache = model.policy.forward_train(batch.obs, batch.task_id,
                                                       lte_noise, samp)
@@ -270,16 +281,11 @@ def _sac_update_inner(model: SacModel, batch: Batch) -> LossReport | None:
 
 def _collect(model: SacModel, buffer: ReplayBuffer) -> None:
     """One episode per task, stepped in lockstep, appended to the buffer."""
-    cfg = model.config
     vec = VecRollout(model.tasks, model.constants)
     obs = vec.reset(model.rngs.get("env"))
     ids = np.arange(model.n_tasks)
-    noisy = model.kind == "ear" and cfg.sigma_noise > 0
     for _ in range(model.constants.max_episode_frames):
-        lte_noise = None
-        if noisy:
-            lte_noise = model.rngs.get("noise").standard_normal(
-                (model.n_tasks, cfg.lte_dim)) * cfg.sigma_noise
+        lte_noise = model.embedding_noise(model.n_tasks)
         samp = model.rngs.get("policy").standard_normal((model.n_tasks, model.action_dim))
         action, _, _ = model.policy.forward_train(obs, ids, lte_noise, samp)
         next_obs, rewards = vec.step(action)
@@ -332,25 +338,17 @@ def _primary_metric(family: str, task: TaskSpec, extras: dict) -> float:
 def evaluate_policy(model: SacModel, lte: np.ndarray | None, task: TaskSpec,
                     episodes: int = 3, eval_seed: int = 0,
                     task_id: int | None = None) -> EvalReport:
-    """Deterministic-policy evaluation on one task.
-
-    For the shared-interface policy any embedding is accepted, trained or
-    not; this is the high-level control interface. Baselines evaluate by
-    task_id instead and take no embedding. Same seed and embedding give an identical report, and
-    the model is left untouched (evaluation draws no mutable stream).
-    """
-    if model.kind == "ear":
-        if lte is None and task_id is None:
-            raise ConfigurationError("need an embedding or task_id")
-        if lte is None:
-            lte = model.lte_for_task(task_id)
-        return evaluate_embeddings(model, np.asarray(lte)[None, :], task,
-                                   episodes, eval_seed)[0]
+    """Deterministic-policy evaluation on one task under the embedding lte
+    (the shared-interface policy accepts any, trained or not: this is the
+    high-level control interface), or else under training task task_id's
+    conditioning. Same seed and conditioning give an identical report, and
+    the model is left untouched (evaluation draws no mutable stream)."""
     if lte is not None:
-        raise ConfigurationError(f"a {model.kind} policy takes no task embedding")
+        return evaluate_embeddings(model, np.asarray(lte)[None, :], task, episodes, eval_seed)[0]
     if task_id is None:
-        raise ConfigurationError("baseline evaluation needs task_id")
-    return _rollout(model, [task], episodes, eval_seed, ids=np.full(episodes, task_id))[0]
+        raise ConfigurationError("need an embedding or task_id")
+    model.task(task_id)
+    return _rollout(model, [task], model.conditioning([task_id]), episodes, eval_seed)[0]
 
 
 def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
@@ -362,27 +360,26 @@ def evaluate_embeddings(model: SacModel, Z: np.ndarray, task: TaskSpec,
     bits, which depend on how BLAS blocks the batched matrix products.
     """
     if model.kind != "ear":
-        raise ConfigurationError("only the shared-interface policy has task embeddings")
+        raise ConfigurationError(f"a {model.kind} policy takes no task embedding")
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or len(Z) == 0 or Z.shape[1] != model.config.lte_dim:
         raise ConfigurationError(f"embeddings must form an (N >= 1, "
                                  f"{model.config.lte_dim}) matrix, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ConfigurationError("embeddings must be finite")
-    return _rollout(model, [task] * len(Z), episodes, eval_seed,
-                    lte_rows=np.repeat(Z, episodes, axis=0))
+    return _rollout(model, [task] * len(Z), Z, episodes, eval_seed)
 
 
-def _rollout(model: SacModel, tasks: list[TaskSpec], episodes: int, eval_seed: int,
-             lte_rows: np.ndarray | None = None,
-             ids: np.ndarray | None = None) -> list[EvalReport]:
-    """Roll one conditioning per task x episodes rows; row i*episodes + e
-    is episode e of conditioning i, on tasks[i]. Episode e of every
+def _rollout(model: SacModel, tasks: list[TaskSpec], cond: np.ndarray, episodes: int,
+             eval_seed: int) -> list[EvalReport]:
+    """Roll conditioning cond[i] (see SacModel.conditioning) on tasks[i];
+    row i*episodes + e is episode e of conditioning i. Episode e of every
     conditioning starts from the same reset state. Returns one report
     per conditioning."""
     if episodes < 1:
         raise ConfigurationError("episodes must be >= 1")
     n = len(tasks)
+    cond = np.repeat(cond, episodes, axis=0)
     vec = VecRollout([task for task in tasks for _ in range(episodes)], model.constants)
     obs = vec.reset(eval_generator(eval_seed), repeats=n)
     frames = model.constants.max_episode_frames
@@ -390,7 +387,7 @@ def _rollout(model: SacModel, tasks: list[TaskSpec], episodes: int, eval_seed: i
     trace = np.empty((n * episodes, frames + 1, model.obs_dim))
     trace[:, 0] = obs
     for t in range(frames):
-        action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
+        action = model.policy.action_eval(obs, cond)
         obs, rewards = vec.step(action)
         returns += rewards
         trace[:, t + 1] = obs
@@ -411,10 +408,8 @@ def _rollout(model: SacModel, tasks: list[TaskSpec], episodes: int, eval_seed: i
 def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalReport]:
     """One report per training task under its own conditioning, all tasks
     rolled together."""
-    ids = np.repeat(np.arange(model.n_tasks), episodes)
-    if model.kind == "ear":
-        return _rollout(model, model.tasks, episodes, eval_seed, lte_rows=model.lte_set()[ids])
-    return _rollout(model, model.tasks, episodes, eval_seed, ids=ids)
+    return _rollout(model, model.tasks, model.conditioning(np.arange(model.n_tasks)),
+                    episodes, eval_seed)
 
 
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
@@ -441,17 +436,11 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
             batch = buffer.sample(config.batch_size, model.rngs.get("batch"))
             losses.append(sac_update(model, batch))
         kept = [l for l in losses if not l.skipped]
-        mean_l = {
-            "j_q1": float(np.mean([l.j_q1 for l in kept])) if kept else np.nan,
-            "j_q2": float(np.mean([l.j_q2 for l in kept])) if kept else np.nan,
-            "j_pi": float(np.mean([l.j_pi for l in kept])) if kept else np.nan,
-            "j_alpha": float(np.mean([l.j_alpha for l in kept])) if kept else np.nan,
-        }
+        mean_l = {k: float(np.mean([getattr(l, k) for l in kept])) if kept else np.nan
+                  for k in ("j_q1", "j_q2", "j_pi", "j_alpha")}
         reports = eval_all_tasks(model, config.eval_episodes, eval_seed=epoch)
-        for i, rep in enumerate(reports):
-            curves.append(CurvePoint(epoch, i, rep.mean_return, rep.metric,
-                                     mean_l["j_q1"], mean_l["j_q2"], mean_l["j_pi"],
-                                     mean_l["j_alpha"], model.alpha))
+        curves += [CurvePoint(epoch, i, rep.mean_return, rep.metric, **mean_l, alpha=model.alpha)
+                   for i, rep in enumerate(reports)]
         if stop_fn is not None and stop_fn(epoch, reports):
             break
     return model, curves

@@ -122,7 +122,7 @@ def test_lse_trajectory_raw_trace_is_the_pre_step_observations(family):
     raw = []
     for _ in range(m.constants.max_episode_frames):
         raw.append(obs[0])
-        obs, _ = vec.step(m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None]))
+        obs, _ = vec.step(m.policy.action_eval(obs, m.lte_for_task(1)[None]))
     expected = pca(np.array(raw), 2).projections
     res = lse_trajectory_analysis(m, m.tasks[1], 1, eval_seed=2)
     assert np.array_equal(res.raw_projections, expected)

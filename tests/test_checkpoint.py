@@ -303,6 +303,34 @@ def test_every_stored_field_is_required(tmp_path, kind):
         assert all(f in str(exc.value) for f in fragments), (field, str(exc.value))
 
 
+def json_objects(doc, where=""):
+    """The dotted path of every JSON object in doc, doc itself first ("")."""
+    paths = [where] if isinstance(doc, dict) else []
+    for key, value in enumerate(doc) if isinstance(doc, list) else doc.items():
+        if isinstance(value, (dict, list)):
+            paths += json_objects(value, f"{where}.{key}".lstrip("."))
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_every_object_refuses_an_unknown_key(tmp_path, kind):
+    # every object holds exactly the keys the saver writes: one unknown key
+    # anywhere, at the top, in a task, an array, adam or an rng stream state,
+    # fails the load instead of being dropped by a re-save
+    path, doc = saved_doc(tmp_path, kind)
+    objects = json_objects(doc)
+    assert {"", "tasks.0", "policy", "adam", "adam.q", "adam.alpha.v", "rng",
+            "rng.streams", "rng.streams.env", "rng.streams.env.state"} <= set(objects)
+    assert ("lte_set" in objects) == (kind == "ear")
+    for where in objects:
+        damaged = copy.deepcopy(doc)
+        (lookup(damaged, where) if where else damaged)["extra"] = 1
+        open(path, "w").write(json.dumps(damaged))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert "unknown ['extra']" in str(exc.value), (where, str(exc.value))
+
+
 @pytest.mark.parametrize("field,value,fragment", [
     ("config.gamma", 0, "gamma must be in (0, 1]"),
     ("tasks.0.family", "walker", "unknown family 'walker'"),
@@ -324,6 +352,8 @@ def assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
     """`eval` on a saved ear model with field set to value fails with one
     CheckpointError line holding fragment, and writes no eval.json."""
     path, doc = saved_doc(tmp_path)
+    if callable(value):  # a function of the stored value
+        value = value(lookup(doc, field))
     replace_field(doc, field, value)
     open(path, "w").write(json.dumps(doc))
     out = str(tmp_path / "e")
@@ -335,6 +365,16 @@ def assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
 
 
 STATE = "rng.streams.batch.state"
+
+
+def degenerate_encoder(stored):
+    """A stored ear policy buffer whose task encoder maps task 0 to the zero
+    vector: its weight column and the bias are zeroed."""
+    flat = decode(stored)
+    _, (_, _, weight, bias) = carve(small_model().policy.layout, flat)
+    weight[:, 0] = 0.0
+    bias[:] = 0.0
+    return encode(flat, stored)
 
 
 @pytest.mark.parametrize("field,value,fragment", [
@@ -360,10 +400,12 @@ STATE = "rng.streams.batch.state"
     ("constants.drag", -0.1, "constants.drag must be >= 0, got -0.1"),
     ("constants.jump_drag", -1.0, "constants.jump_drag must be >= 0, got -1.0"),
     ("constants.reset_vel_range", -1.0, "constants.reset_vel_range must be >= 0, got -1.0"),
+    ("policy", degenerate_encoder, "stored task encoder is degenerate: near-zero row"),
 ], ids=["inc-neg", "state-2^128", "state-int", "inc-zero-pad", "inc-true", "inc-float",
         "has_uint32-1e300", "has_uint32-true", "has_uint32-2", "uinteger-neg", "uinteger-2^32",
         "uinteger-float", "log_alpha-true", "dt-neg", "f_max-neg", "gravity-0",
-        "jump_thrust-0", "drag-neg", "jump_drag-neg", "reset_vel_range-neg"])
+        "jump_thrust-0", "drag-neg", "jump_drag-neg", "reset_vel_range-neg",
+        "encoder-degenerate"])
 def test_bad_stored_value_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
     # values that used to overflow with a traceback, load coerced, or load
     # into physics that makes no sense

@@ -137,15 +137,13 @@ def test_mhmt_head_blocks():
 def test_action_eval_deterministic_repeatable():
     m = tiny_model()
     obs = np.array([[0.3]])
-    a1 = m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None, :])
-    a2 = m.policy.action_eval(obs, lte_rows=m.lte_for_task(1)[None, :])
+    a1 = m.policy.action_eval(obs, m.conditioning([1]))
+    a2 = m.policy.action_eval(obs, m.conditioning([1]))
     assert np.array_equal(a1, a2)
     # the deterministic action on task 1's embedding is the clean,
     # zero-noise training sample of task 1
     a3, _, _ = m.policy.forward_train(obs, np.array([1]), None, np.zeros((1, 1)))
     assert np.array_equal(a1, a3)
-    with pytest.raises(ConfigurationError):  # acts on embedding rows, not task ids
-        m.policy.action_eval(obs, task_ids=np.array([1]))
 
 
 def test_forward_train_same_noise_same_action():
@@ -169,9 +167,18 @@ def test_forward_train_same_noise_same_action():
 def test_policy_sensitive_to_embedding():
     m = tiny_model()
     obs = np.zeros((1, 1))
-    a = m.policy.action_eval(obs, lte_rows=np.array([[1.0, 0.0, 0.0]]))
-    b = m.policy.action_eval(obs, lte_rows=np.array([[0.0, 1.0, 0.0]]))
+    a = m.policy.action_eval(obs, np.array([[1.0, 0.0, 0.0]]))
+    b = m.policy.action_eval(obs, np.array([[0.0, 1.0, 0.0]]))
     assert not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("kind,sigma_noise,draws", [
+    ("ear", 0.05, 6), ("ear", 0.0, 0), ("ohe", 0.05, 0), ("mhmt", 0.05, 0)])
+def test_embedding_noise_drawn_for_the_shared_interface_policy_only(kind, sigma_noise, draws):
+    m = tiny_model(kind, sigma_noise=sigma_noise)
+    noise = m.embedding_noise(2)
+    assert m.rngs.get("noise").draws == draws
+    assert noise is None if draws == 0 else noise.shape == (2, 3)
 
 
 # --- q_target ---
@@ -438,6 +445,16 @@ def test_evaluate_policy_accepts_arbitrary_embedding():
     assert np.isfinite(rep.mean_return)
 
 
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+@pytest.mark.parametrize("task_id", [-1, 3])
+def test_evaluate_policy_task_id_out_of_range_rejected(kind, task_id):
+    # a baseline must not roll out the last task for -1, nor fail on 3
+    # with an IndexError
+    m = tiny_model(kind)
+    with pytest.raises(ConfigurationError, match=f"task index {task_id} out of range"):
+        evaluate_policy(m, None, m.tasks[0], episodes=1, task_id=task_id)
+
+
 def test_evaluate_does_not_mutate_model_streams():
     m = tiny_model()
     before = m.rngs.state()
@@ -468,16 +485,17 @@ def assert_reports_match(a, b, rel):
     assert close(a.traces, b.traces)
 
 
-def reference_evaluation(model, task, episodes, eval_seed, lte_rows=None, ids=None):
+def reference_evaluation(model, task, episodes, eval_seed, cond):
     """The one-conditioning rollout loop as it stood before evaluation was
-    batched over embeddings; evaluate_policy must reproduce it bit for bit."""
+    batched over embeddings, on cond, one row per episode; evaluate_policy
+    must reproduce it bit for bit."""
     vec = VecRollout([task] * episodes, model.constants)
     obs = vec.reset(eval_generator(eval_seed))
     frames = model.constants.max_episode_frames
     returns = np.zeros(episodes)
     trace = [obs]
     for _ in range(frames):
-        action = model.policy.action_eval(obs, task_ids=ids, lte_rows=lte_rows)
+        action = model.policy.action_eval(obs, cond)
         obs, rewards = vec.step(action)
         returns += rewards
         trace.append(obs)
@@ -492,14 +510,14 @@ def reference_evaluation(model, task, episodes, eval_seed, lte_rows=None, ids=No
 def test_one_row_evaluation_bit_identical_to_reference(family, episodes):
     m = tiny_model(family=family)
     z = probe_embeddings(1)
-    ref = reference_evaluation(m, m.tasks[1], episodes, 3, lte_rows=np.tile(z, (episodes, 1)))
+    ref = reference_evaluation(m, m.tasks[1], episodes, 3, np.tile(z, (episodes, 1)))
     [rep] = evaluate_embeddings(m, z, m.tasks[1], episodes, eval_seed=3)
     assert_reports_match(rep, ref, rel=0.0)
     assert_reports_match(evaluate_policy(m, z[0], m.tasks[1], episodes, eval_seed=3), ref,
                          rel=0.0)
     for kind in ("ohe", "mhmt"):
         b = tiny_model(kind=kind, family=family)
-        ref = reference_evaluation(b, b.tasks[1], episodes, 3, ids=np.full(episodes, 1))
+        ref = reference_evaluation(b, b.tasks[1], episodes, 3, np.full(episodes, 1))
         assert_reports_match(evaluate_policy(b, None, b.tasks[1], episodes, eval_seed=3,
                                              task_id=1), ref, rel=0.0)
 
