@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Adapt a trained checkpoint to an unseen target with embedding-space
 search, comparing the found embedding against the interpolation sweep
-between the two nearest training tasks."""
+between the two nearest training tasks. --seed is the evaluation seed of
+the sweep, the search and the final check, as `latent-motor adapt --seed`
+is."""
 
 import argparse
 import os
@@ -41,8 +43,7 @@ def main():
     sweep_best = max(r.mean_return for r in rows)
     print(f"sweep over tasks ({targets[below]}, {targets[above]}): best return {sweep_best:.2f}")
 
-    cem = CemConfig(adapt_epochs=args.epochs, seed=args.seed)
-    best, trace = cem_adapt(model, task, cem)
+    best, trace = cem_adapt(model, task, CemConfig(adapt_epochs=args.epochs), eval_seed=args.seed)
     print("search best-return curve:", [round(e.best_return, 2) for e in trace.epochs])
     rep = evaluate_policy(model, best, task, episodes=3, eval_seed=args.seed)
     print(f"found embedding {np.round(best, 4).tolist()}  "

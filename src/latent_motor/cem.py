@@ -30,7 +30,6 @@ class CemConfig:
     sample_sigma: float = 0.3
     sigma_decay: float = 0.9
     episodes_per_eval: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.elite_capacity < 1 or self.samples_per_elite < 0:
@@ -58,15 +57,17 @@ class CemTrace:
         return np.array([e.best_return for e in self.epochs])
 
 
-def cem_optimize(evaluator, config: CemConfig, dim: int = 3) -> tuple[np.ndarray, CemTrace]:
+def cem_optimize(evaluator, config: CemConfig, dim: int = 3,
+                 seed: int = 0) -> tuple[np.ndarray, CemTrace]:
     """Core elite search; evaluator maps an (N, dim) matrix of unit
-    vectors to their (N,) returns.
+    vectors to their (N,) returns. seed decides the initial elites and
+    every perturbation.
 
     Epoch 0 scores the m initial elites and their m*n neighbours; later
     epochs score only the m*n new neighbours. Rollout-free callers
     (tests, synthetic objectives) use this directly.
     """
-    rng = eval_generator(config.seed, 101)
+    rng = eval_generator(seed, 101)
     m, n = config.elite_capacity, config.samples_per_elite
     elites = normalize_rows(rng.standard_normal((m, dim)))
     elite_returns = None
@@ -103,11 +104,13 @@ def cem_optimize(evaluator, config: CemConfig, dim: int = 3) -> tuple[np.ndarray
     return elites[0].copy(), trace
 
 
-def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig) -> tuple[np.ndarray, CemTrace]:
+def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig,
+              eval_seed: int = 0) -> tuple[np.ndarray, CemTrace]:
     """Adapt to an unseen task by optimizing the embedding alone.
 
     The policy networks stay frozen; each epoch's candidates are scored
-    together with the deterministic policy on a fixed evaluation seed.
+    together with the deterministic policy on the fixed eval_seed, which
+    also seeds the search.
     A baseline model is refused (by evaluate_embeddings) before any rollout.
     """
     if task.family != model.family:
@@ -115,7 +118,7 @@ def cem_adapt(model: SacModel, task: TaskSpec, config: CemConfig) -> tuple[np.nd
             f"task family {task.family!r} does not match model family {model.family!r}")
 
     def evaluator(Z):
-        reports = evaluate_embeddings(model, Z, task, config.episodes_per_eval, config.seed)
+        reports = evaluate_embeddings(model, Z, task, config.episodes_per_eval, eval_seed)
         return np.array([rep.mean_return for rep in reports])
-    return cem_optimize(evaluator, config, dim=model.config.lte_dim)
+    return cem_optimize(evaluator, config, model.config.lte_dim, eval_seed)
 

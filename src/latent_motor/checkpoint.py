@@ -16,16 +16,18 @@ critics, stacked), and each optimizer under "adam" (policy, q, alpha) is
 its two flat moments and its step count. The layout inside a buffer
 follows from the stored config, which rebuilds the model; a value the
 model derives, such as its family or its target entropy, is not stored,
-and neither is the root seed, since the stored stream states decide
-every draw. Every JSON object in the file must hold exactly the keys
-the saver writes, so no value falls back to a default or is ignored,
-and config.read_record checks the tasks, constants and config against
-their fields' annotations; a failure of these records, or of the model
-they build, is a CheckpointError. Loading decodes every array into that
-fresh model through one helper that checks its dtype key, its shape and
-that every entry is finite, then re-validates the Adam moments and
-steps, the stream states, log_alpha and the embedding invariants (a
-degenerate task encoder is a CheckpointError too).
+and neither is the run's seed: the loader builds the model with the
+default seed, and the stored buffers and stream states overwrite its
+init weights and streams. Every JSON object in the file must hold
+exactly the keys the saver writes, so no value falls back to a default
+or is ignored, and config.read_record checks the tasks, constants and
+config against their fields' annotations; a failure of these records, or
+of the model they build, is a CheckpointError. Loading decodes every
+array into that fresh model through one helper that checks its keys, its
+shape (entries are integers >= 0) and that every entry is finite, then
+re-validates the Adam moments and steps, the stream states, log_alpha and
+the embedding invariants (a degenerate task encoder is a CheckpointError
+too).
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ from .envs import EnvConstants, TaskSpec
 from .errors import CheckpointError, ConfigurationError, DegenerateEmbedding
 from .sac import SacModel, TrainConfig
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _KEYS = {np.dtype(np.float32): "f4", np.dtype(np.float64): "f8"}  # the stored dtype
+# The top-level fields of every file; an ear file also holds "lte_set".
+_FIELDS = {"format_version", "kind", "tasks", "constants", "config", "policy", "q", "q_target",
+           "log_alpha", "adam", "rng"}
 
 
 def _encode(a: np.ndarray) -> dict:
@@ -56,18 +61,23 @@ def _encode(a: np.ndarray) -> dict:
 
 
 def _decode(payload, dst: np.ndarray, name: str) -> None:
-    """Copy an encoded array into dst after checking its dtype, shape and values."""
+    """Copy an encoded array into dst after checking its keys, dtype, shape
+    and values."""
     key = _KEYS[dst.dtype]
+    _exact_keys(payload, {"shape", key}, name)
+    shape = payload["shape"]
+    # reshape would read a negative entry as "infer this axis"
+    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+        raise CheckpointError(f"{name} has shape {shape!r}, expected {list(dst.shape)}")
     try:
         raw = base64.b64decode(payload[key], validate=True)
-        src = np.frombuffer(raw, dtype="<" + key).reshape(payload["shape"])
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        src = np.frombuffer(raw, dtype="<" + key).reshape(shape)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise CheckpointError(f"malformed array {name}: {exc}") from exc
     if src.shape != dst.shape:
         raise CheckpointError(f"{name} has shape {list(src.shape)}, expected {list(dst.shape)}")
     if not np.all(np.isfinite(src)):
         raise CheckpointError(f"{name} has non-finite entries")
-    _exact_keys(payload, {"shape", key}, name)  # a missing key has failed above
     np.copyto(dst, src)
 
 
@@ -152,6 +162,8 @@ def load_checkpoint(path: str) -> SacModel:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r}; "
             f"this build reads version {FORMAT_VERSION}")
+    _exact_keys(payload, _FIELDS | ({"lte_set"} if payload.get("kind") == "ear" else set()),
+                "checkpoint")
     try:
         tasks = [_record(d, TaskSpec, f"tasks[{i}]") for i, d in enumerate(payload["tasks"])]
         constants = _record(payload["constants"], EnvConstants, "constants")
@@ -176,12 +188,8 @@ def load_checkpoint(path: str) -> SacModel:
             st.step = stored["step"]
         _exact_keys(payload["rng"], model.rngs.state(), "rng")
         model.rngs.restore(payload["rng"])
-        fields = {"format_version", "kind", "tasks", "constants", "config", *_buffers(model),
-                  "log_alpha", "adam", "rng"}
         if model.kind == "ear":
             _validate_embeddings(model, payload["lte_set"])
-            fields.add("lte_set")
-        _exact_keys(payload, fields, "checkpoint")  # a missing field has failed above
     except ConfigurationError as exc:  # a stored record or the model it builds
         raise CheckpointError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:

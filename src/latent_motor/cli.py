@@ -1,7 +1,9 @@
 """Command-line entry point and experiment orchestration.
 
-Every subcommand reads an optional JSON experiment config and honors
---seed (flag > LATENT_MOTOR_SEED env var > config). `main` resolves the
+Every subcommand reads an optional JSON experiment config; --seed and
+--out override its seed and out_dir. The seed is the run's one seed:
+train roots the model's streams in it, adapt seeds its search and
+rollouts with it, and the analyses evaluate on it. `main` resolves the
 config, creates the output directory, loads --checkpoint, runs the
 command and records the run as config.json (the resolved config) and
 manifest.json (command, config and checkpoint hashes, versions, numeric
@@ -100,20 +102,10 @@ def _numeric_environment() -> dict:
 
 def _resolve(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    seed = args.seed
-    if seed is None and os.environ.get("LATENT_MOTOR_SEED"):
-        text = os.environ["LATENT_MOTOR_SEED"]
-        try:
-            seed = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"LATENT_MOTOR_SEED must be an integer, got {text!r}") from None
-    if seed is not None and seed < 0:
-        raise ConfigurationError(f"the seed must be >= 0, got {seed}")
-    cfg = cfg.resolved(seed)
-    if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    return cfg
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"the seed must be >= 0, got {args.seed}")
+    return dataclasses.replace(cfg, seed=cfg.seed if args.seed is None else args.seed,
+                               out_dir=args.out or cfg.out_dir)
 
 
 def _curves_csv(path: str, curves) -> None:
@@ -125,7 +117,8 @@ def _curves_csv(path: str, curves) -> None:
 
 
 def cmd_train(args, cfg: ExperimentConfig, model: None) -> None:
-    model, curves = train(cfg.train, cfg.env.task_set(), args.kind, cfg.env.constants())
+    model, curves = train(cfg.train, cfg.env.task_set(), args.kind, cfg.env.constants(),
+                          cfg.seed)
     _curves_csv(os.path.join(cfg.out_dir, "curves.csv"), curves)
     save_checkpoint(model, os.path.join(cfg.out_dir, "model.ckpt.json"))
 
@@ -148,7 +141,7 @@ def _adapt_task(model, args) -> TaskSpec:
 
 def cmd_adapt(args, cfg: ExperimentConfig, model: SacModel) -> None:
     task = _adapt_task(model, args)
-    best, trace = cem_adapt(model, task, cfg.cem)
+    best, trace = cem_adapt(model, task, cfg.cem, cfg.seed)
     rows = [[i, e.best_return, e.sigma, e.episodes_used]
             for i, e in enumerate(trace.epochs)]
     write_csv(os.path.join(cfg.out_dir, "trace.csv"),

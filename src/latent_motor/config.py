@@ -4,7 +4,9 @@ Unknown keys anywhere in the document are rejected before any run
 starts, so a typo like "bacth_size" fails loudly instead of silently
 training with defaults. `read_record` checks every value against its
 field's annotation; the checkpoint reads its stored config, constants and
-tasks through it too.
+tasks through it too. The run's seed is the top-level `seed` alone (only
+--seed overrides it); no section holds one, so a section `seed` is an
+unknown key.
 """
 
 from __future__ import annotations
@@ -64,16 +66,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     cem: CemConfig = field(default_factory=CemConfig)
     analysis: AnalysisSection = field(default_factory=AnalysisSection)
-
-    def resolved(self, seed: int | None = None) -> "ExperimentConfig":
-        """Copy with the effective seed pushed into every sub-config."""
-        eff = self.seed if seed is None else int(seed)
-        return ExperimentConfig(
-            seed=eff, out_dir=self.out_dir, env=self.env,
-            train=dataclasses.replace(self.train, seed=eff),
-            cem=dataclasses.replace(self.cem, seed=eff),
-            analysis=self.analysis,
-        )
 
 
 @functools.cache
@@ -140,15 +132,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - set(_hints(ExperimentConfig))
     if unknown:
         raise ConfigurationError(f"unknown top-level keys: {sorted(unknown)}")
-    cfg = read_record(ExperimentConfig, doc, "config")
-    # The top-level seed drives every section (see resolved); a section
-    # seed may only repeat it, as the config.json of every run directory does.
-    for name in ("train", "cem"):
-        section_seed = getattr(cfg, name).seed
-        if "seed" in doc.get(name, {}) and section_seed != cfg.seed:
-            raise ConfigurationError(f"{name}.seed {section_seed} differs from the top-level "
-                                     f"seed {cfg.seed}; set the seed at the top level")
-    return cfg
+    return read_record(ExperimentConfig, doc, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

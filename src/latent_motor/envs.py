@@ -50,12 +50,21 @@ class EnvConstants:
     reset_vel_range: float = 0.05
 
     def __post_init__(self):
+        # The upper bounds keep every rollout finite: an explicit Euler step
+        # with drag * dt <= 1 damps a velocity but never reverses or grows it.
         positive = ("dt", "f_max", "gravity", "jump_thrust")
         for name in positive + ("drag", "jump_drag", "reset_vel_range"):
             value = getattr(self, name)
             if not (value > 0 if name in positive else value >= 0):  # also refuses NaN
                 raise ConfigurationError(f"constants.{name} must be "
                                          f"{'>' if name in positive else '>='} 0, got {value!r}")
+            upper = 1 if name == "dt" else 1000
+            if value > upper:
+                raise ConfigurationError(f"constants.{name} must be <= {upper}, got {value!r}")
+        for name in ("drag", "jump_drag"):
+            if getattr(self, name) * self.dt > 1:
+                raise ConfigurationError(f"constants.{name} * dt must be <= 1, got "
+                                         f"{getattr(self, name)!r} * {self.dt!r}")
 
 
 DEFAULT_CONSTANTS = EnvConstants()

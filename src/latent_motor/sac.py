@@ -61,7 +61,6 @@ class TrainConfig:
     sigma_noise: float = 0.05
     buffer_capacity: int = 100_000
     eval_episodes: int = 3
-    seed: int = 0
     hidden_width: int = 64
     lse_dim: int = 16
     lte_dim: int = 3
@@ -115,10 +114,11 @@ class CurvePoint:
 
 class SacModel:
     """Policy, twin critics with targets, temperature, and run state. What
-    the policy kind changes is decided here: conditioning, embedding_noise."""
+    the policy kind changes is decided here: conditioning, embedding_noise.
+    seed roots the RNG streams: the init weights and every training draw."""
 
     def __init__(self, kind: str, tasks: list[TaskSpec], config: TrainConfig,
-                 constants: EnvConstants = DEFAULT_CONSTANTS):
+                 constants: EnvConstants = DEFAULT_CONSTANTS, seed: int = 0):
         if not tasks:
             raise ConfigurationError("empty task set")
         self.kind = kind
@@ -130,7 +130,7 @@ class SacModel:
         self.action_dim = action_dim(self.family)
         self.n_tasks = len(tasks)
         self.target_entropy = -float(self.action_dim)
-        self.rngs = RngStreams(config.seed)
+        self.rngs = RngStreams(seed)
         init = self.rngs.get("init").gen
         self.policy = build_policy(kind, self.obs_dim, self.action_dim, self.n_tasks,
                                    init, config.lse_dim, config.lte_dim,
@@ -413,10 +413,11 @@ def eval_all_tasks(model: SacModel, episodes: int, eval_seed: int) -> list[EvalR
 
 
 def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
-          constants: EnvConstants = DEFAULT_CONSTANTS,
+          constants: EnvConstants = DEFAULT_CONSTANTS, seed: int = 0,
           stop_fn=None) -> tuple[SacModel, list[CurvePoint]]:
     """Run the full multi-task training loop for a policy kind: "ear" (the
-    shared-interface policy), or the "ohe" or "mhmt" baseline.
+    shared-interface policy), or the "ohe" or "mhmt" baseline, from the
+    model that SacModel builds with seed.
 
     stop_fn, when given, receives (epoch, reports) after each epoch's
     evaluation and may end training early by returning True; the curve
@@ -424,7 +425,7 @@ def train(config: TrainConfig, task_set: list[TaskSpec], kind: str = "ear",
     """
     if config.train_epochs < 1 or config.pretrain_epochs < 0:
         raise ConfigurationError("epoch counts must be positive")
-    model = SacModel(kind, task_set, config, constants)
+    model = SacModel(kind, task_set, config, constants, seed)
     buffer = ReplayBuffer(config.buffer_capacity, model.obs_dim, model.action_dim)
     for _ in range(config.pretrain_epochs):
         _collect(model, buffer)

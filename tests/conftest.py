@@ -2,7 +2,7 @@
 
 Training runs dominate the suite's cost, so every trained model is
 built once per session and cached on disk (keyed by its full config,
-the training code's sources, the checkpoint format version, and the
+its seed, the training code's sources, the checkpoint format version, and the
 NumPy version and BLAS build) so
 repeated local runs skip retraining.
 Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
@@ -63,19 +63,20 @@ def _training_sources_sha256() -> str:
     return digest.hexdigest()
 
 
-def _train_cached(kind, family, config, count=None):
+def _train_cached(kind, family, config, seed, count=None):
     from latent_motor.envs import DEFAULT_CONSTANTS
 
     tasks = make_task_set(family, count=count)
-    tag = (kind, family, config.seed, config.train_epochs)
+    tag = (kind, family, seed, config.train_epochs)
     if CACHE_DIR == "off":
         t0 = time.perf_counter()
-        model = train(config, tasks, kind)[0]
+        model = train(config, tasks, kind, seed=seed)[0]
         TRAIN_DURATIONS[tag] = time.perf_counter() - t0
         return model
     os.makedirs(CACHE_DIR, exist_ok=True)
     key = hashlib.sha256(json.dumps(
-        {"kind": kind, "family": family, "count": count, "config": dataclasses.asdict(config),
+        {"kind": kind, "family": family, "count": count, "seed": seed,
+         "config": dataclasses.asdict(config),
          "constants": dataclasses.asdict(DEFAULT_CONSTANTS), "sources": _training_sources_sha256(),
          "format": FORMAT_VERSION, "numeric": _numeric_environment()},
         sort_keys=True).encode()).hexdigest()[:24]
@@ -83,20 +84,14 @@ def _train_cached(kind, family, config, count=None):
     if os.path.exists(path):
         return load_checkpoint(path)
     t0 = time.perf_counter()
-    model, _ = train(config, tasks, kind)
+    model, _ = train(config, tasks, kind, seed=seed)
     TRAIN_DURATIONS[tag] = time.perf_counter() - t0
     save_checkpoint(model, path)
     return model
 
 
-def vel_config(seed, epochs, **kw):
-    return TrainConfig(seed=seed, train_epochs=epochs, **kw)
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    # a seed exported in the shell must not leak into seed-sensitive tests
-    monkeypatch.delenv("LATENT_MOTOR_SEED", raising=False)
+def vel_config(epochs, **kw):
+    return TrainConfig(train_epochs=epochs, **kw)
 
 
 # The geometry experiments train with a larger embedding-noise sigma
@@ -111,7 +106,7 @@ GEOMETRY_SIGMA = 0.15
 def vel5_models():
     """Shared-interface models on the 5-velocity set, one per seed."""
     return {s: _train_cached("ear", "vel1d",
-                             vel_config(s, VEL_QUALITY_EPOCHS, sigma_noise=GEOMETRY_SIGMA))
+                             vel_config(VEL_QUALITY_EPOCHS, sigma_noise=GEOMETRY_SIGMA), s)
             for s in SEEDS}
 
 
@@ -119,8 +114,8 @@ def vel5_models():
 def vel5_nonorm_models():
     """Same budget, seeds, and noise with sphere normalization disabled."""
     return {s: _train_cached("ear", "vel1d",
-                             vel_config(s, VEL_QUALITY_EPOCHS, sigma_noise=GEOMETRY_SIGMA,
-                                        normalize_lte=False))
+                             vel_config(VEL_QUALITY_EPOCHS, sigma_noise=GEOMETRY_SIGMA,
+                                        normalize_lte=False), s)
             for s in SEEDS}
 
 
@@ -129,33 +124,32 @@ def vel5_compare():
     """(ear, ohe) pairs at an identical reduced budget, one per seed."""
     out = {}
     for s in SEEDS:
-        cfg = vel_config(s, VEL_COMPARE_EPOCHS)
-        out[s] = (_train_cached("ear", "vel1d", cfg),
-                  _train_cached("ohe", "vel1d", cfg))
+        cfg = vel_config(VEL_COMPARE_EPOCHS)
+        out[s] = (_train_cached("ear", "vel1d", cfg, s),
+                  _train_cached("ohe", "vel1d", cfg, s))
     return out
 
 
 @pytest.fixture(scope="session")
 def dir8_model():
-    return _train_cached("ear", "dir2d", vel_config(0, DIR_QUALITY_EPOCHS))
+    return _train_cached("ear", "dir2d", vel_config(DIR_QUALITY_EPOCHS), 0)
 
 
 @pytest.fixture(scope="session")
 def dir8_nonoise_model():
-    return _train_cached("ear", "dir2d",
-                         vel_config(0, DIR_QUALITY_EPOCHS, sigma_noise=0.0))
+    return _train_cached("ear", "dir2d", vel_config(DIR_QUALITY_EPOCHS, sigma_noise=0.0), 0)
 
 
 @pytest.fixture(scope="session")
 def dir8_compare():
     out = {}
     for s in SEEDS:
-        cfg = vel_config(s, DIR_COMPARE_EPOCHS)
-        out[s] = (_train_cached("ear", "dir2d", cfg),
-                  _train_cached("ohe", "dir2d", cfg))
+        cfg = vel_config(DIR_COMPARE_EPOCHS)
+        out[s] = (_train_cached("ear", "dir2d", cfg, s),
+                  _train_cached("ohe", "dir2d", cfg, s))
     return out
 
 
 @pytest.fixture(scope="session")
 def runjump_model():
-    return _train_cached("ear", "runjump", vel_config(0, RUNJUMP_EPOCHS))
+    return _train_cached("ear", "runjump", vel_config(RUNJUMP_EPOCHS), 0)

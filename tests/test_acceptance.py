@@ -87,7 +87,7 @@ def test_c01_gradient_correctness():
 
 def test_c02_single_task_sanity():
     t0 = time.perf_counter()
-    config = TrainConfig(seed=0, train_epochs=300)
+    config = TrainConfig(train_epochs=300)
     task = [TaskSpec("vel1d", (1.0,))]
     reached = {}
 
@@ -203,7 +203,7 @@ def test_c07_extrapolation_smoke(vel5_models):
 def test_c08_cem_adaptation(vel5_models):
     t0 = time.perf_counter()
     cfg = CemConfig(elite_capacity=4, samples_per_elite=8, adapt_epochs=10,
-                    sample_sigma=0.3, sigma_decay=0.9, seed=0)
+                    sample_sigma=0.3, sigma_decay=0.9)
     _, trace = cem_optimize(
         lambda Z: np.array([float(z @ np.array([0.0, 0.0, 1.0])) for z in Z]), cfg)
     synth_ok = trace.epochs[-1].best_return >= 0.99
@@ -215,8 +215,7 @@ def test_c08_cem_adaptation(vel5_models):
         rows = interpolation_sweep(model, model.lte_for_task(1), model.lte_for_task(2),
                                    np.linspace(0, 1, 21), task, eval_seed=EVAL_SEED)
         sweep_returns.append(max(r.mean_return for r in rows))
-        ccfg = CemConfig(adapt_epochs=3, seed=s)
-        best, _ = cem_adapt(model, task, ccfg)
+        best, _ = cem_adapt(model, task, CemConfig(adapt_epochs=3), eval_seed=s)
         cem_returns.append(evaluate_policy(model, best, task, 1,
                                            eval_seed=EVAL_SEED).mean_return)
     mean_cem = float(np.mean(cem_returns))
@@ -358,7 +357,7 @@ def test_c12_infrastructure(vel5_models, tmp_path):
 
     # exact elitism on the deterministic environment
     task = TaskSpec("vel1d", (1.1,), reward_ctrl_cost=model.tasks[0].reward_ctrl_cost)
-    _, trace = cem_adapt(model, task, CemConfig(adapt_epochs=5, seed=1))
+    _, trace = cem_adapt(model, task, CemConfig(adapt_epochs=5), eval_seed=1)
     elite_ok = bool(np.all(np.diff(trace.best_returns()) >= 0.0))
     verdict(12, "infrastructure", roundtrip_ok and det_ok and elite_ok,
             f"roundtrip {roundtrip_ok}, determinism {det_ok}, elitism {elite_ok}")

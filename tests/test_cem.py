@@ -20,15 +20,15 @@ def pole_returns(Z):
 
 def test_synthetic_oracle_reaches_pole():
     cfg = CemConfig(elite_capacity=4, samples_per_elite=8, adapt_epochs=10,
-                    sample_sigma=0.3, sigma_decay=0.9, seed=0)
+                    sample_sigma=0.3, sigma_decay=0.9)
     best, trace = cem_optimize(pole_returns, cfg)
     assert trace.epochs[-1].best_return >= 0.99
     assert pole_reward(best) >= 0.99
 
 
 def test_zero_samples_degenerates_to_initial_max():
-    cfg = CemConfig(elite_capacity=6, samples_per_elite=0, adapt_epochs=1, seed=3)
-    best, trace = cem_optimize(pole_returns, cfg)
+    cfg = CemConfig(elite_capacity=6, samples_per_elite=0, adapt_epochs=1)
+    best, trace = cem_optimize(pole_returns, cfg, seed=3)
     # reproduce the initial elite draw and check best is their max
     from latent_motor.embedding import normalize_rows
     from latent_motor.rng import eval_generator
@@ -38,8 +38,8 @@ def test_zero_samples_degenerates_to_initial_max():
 
 
 def test_elitism_best_return_non_decreasing():
-    cfg = CemConfig(elite_capacity=3, samples_per_elite=5, adapt_epochs=12, seed=7)
-    _, trace = cem_optimize(pole_returns, cfg)
+    cfg = CemConfig(elite_capacity=3, samples_per_elite=5, adapt_epochs=12)
+    _, trace = cem_optimize(pole_returns, cfg, seed=7)
     best = trace.best_returns()
     assert np.all(np.diff(best) >= 0.0)
 
@@ -49,16 +49,16 @@ def test_candidates_unit_norm():
     def recording(Z):
         seen.extend(np.linalg.norm(Z, axis=1))
         return pole_returns(Z)
-    cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=3, seed=1)
-    cem_optimize(recording, cfg)
+    cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=3)
+    cem_optimize(recording, cfg, seed=1)
     assert np.allclose(seen, 1.0, atol=1e-9)
 
 
 def test_sigma_floor_keeps_elites_fixed():
     # tiny sigma: neighbours are essentially the elites, set cannot degrade
     cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=6,
-                    sample_sigma=1e-12, sigma_decay=0.5, seed=5)
-    _, trace = cem_optimize(pole_returns, cfg)
+                    sample_sigma=1e-12, sigma_decay=0.5)
+    _, trace = cem_optimize(pole_returns, cfg, seed=5)
     first = trace.epochs[0].elite_returns
     last = trace.epochs[-1].elite_returns
     assert np.allclose(first, last, atol=1e-9)
@@ -66,7 +66,7 @@ def test_sigma_floor_keeps_elites_fixed():
 
 def test_budget_accounting():
     cfg = CemConfig(elite_capacity=5, samples_per_elite=8, adapt_epochs=2,
-                    episodes_per_eval=3, seed=0)
+                    episodes_per_eval=3)
     _, trace = cem_optimize(pole_returns, cfg)
     # epoch 0 scores the 5 elites and their 5*8 neighbours; later epochs
     # carry the elites' scores and roll only the 5*8 new neighbours
@@ -81,8 +81,8 @@ def test_elite_scores_carried_not_reevaluated():
         calls.append(len(Z))
         return pole_returns(Z) + 1e-6 * len(calls)
     cfg = CemConfig(elite_capacity=3, samples_per_elite=4, adapt_epochs=5,
-                    episodes_per_eval=2, seed=4)
-    _, trace = cem_optimize(drifting, cfg)
+                    episodes_per_eval=2)
+    _, trace = cem_optimize(drifting, cfg, seed=4)
     assert calls == [3 * 5] + [3 * 4] * 4
     assert [e.episodes_used for e in trace.epochs] == [3 * 5 * 2] + [3 * 4 * 2] * 4
     carried = 0
@@ -104,7 +104,7 @@ def test_evaluator_shape_checked():
 
 def test_adapt_rejects_family_mismatch_and_baselines():
     cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, optimization_times=1,
-                      batch_size=4, seed=0, hidden_width=6, lse_dim=4)
+                      batch_size=4, hidden_width=6, lse_dim=4)
     model = SacModel("ear", make_task_set("vel1d", count=2), cfg)
     with pytest.raises(ConfigurationError):
         cem_adapt(model, TaskSpec("dir2d", (1.0, 0.0)), CemConfig())
@@ -115,9 +115,9 @@ def test_adapt_rejects_family_mismatch_and_baselines():
 
 def test_adapt_runs_on_tiny_model():
     cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, optimization_times=1,
-                      batch_size=4, seed=0, hidden_width=6, lse_dim=4)
+                      batch_size=4, hidden_width=6, lse_dim=4)
     model = SacModel("ear", make_task_set("vel1d", count=2), cfg)
-    ccfg = CemConfig(elite_capacity=2, samples_per_elite=1, adapt_epochs=2, seed=0)
+    ccfg = CemConfig(elite_capacity=2, samples_per_elite=1, adapt_epochs=2)
     best, trace = cem_adapt(model, TaskSpec("vel1d", (1.25,)), ccfg)
     assert best.shape == (3,)
     assert len(trace.epochs) == 2

@@ -20,14 +20,14 @@ from latent_motor.cli import main
 from latent_motor.envs import make_task_set
 from latent_motor.errors import CheckpointError
 from latent_motor.nn import carve, shapes_of
-from latent_motor.sac import SacModel, TrainConfig, evaluate_policy, sac_update
+from latent_motor.sac import SacModel, TrainConfig, eval_all_tasks, evaluate_policy, sac_update
 from latent_motor.replay import Batch
 
 
 def small_model(kind="ear", seed=0):
     cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, optimization_times=1,
-                      batch_size=8, seed=seed, hidden_width=8, lse_dim=4)
-    model = SacModel(kind, make_task_set("vel1d", count=3), cfg)
+                      batch_size=8, hidden_width=8, lse_dim=4)
+    model = SacModel(kind, make_task_set("vel1d", count=3), cfg, seed=seed)
     rng = np.random.default_rng(seed)
     batch = Batch(
         obs=rng.normal(size=(8, 1)), action=rng.uniform(-1, 1, (8, 1)),
@@ -220,11 +220,13 @@ def test_non_finite_array_rejected(tmp_path, kind, field, bad):
     ({"shape": [4], "f4": "not base64!"}, "malformed array q"),
     ({"shape": [3], "f4": base64.b64encode(bytes(32)).decode()}, "cannot reshape"),
     ({"shape": [4], "f4": base64.b64encode(bytes(31)).decode()}, "multiple of element size"),
-    ({"f4": base64.b64encode(bytes(32)).decode()}, "'shape'"),
-    ([0.0, 0.0, 0.0, 0.0], "malformed array q"),
-    (None, "malformed checkpoint field: 'q'"),  # the field is missing
+    ({"f4": base64.b64encode(bytes(32)).decode()},
+     "q must hold the saved fields: missing ['shape'], unknown []"),
+    ([0.0, 0.0, 0.0, 0.0], "q must hold the saved fields: missing ['f4', 'shape'], unknown []"),
+    (None, "checkpoint must hold the saved fields: missing ['q'], unknown []"),  # no field
     # q is float32: float64 bytes must not be read as float32 or be converted
-    ({"shape": [4], "f8": base64.b64encode(bytes(32)).decode()}, "malformed array q: 'f4'"),
+    ({"shape": [4], "f8": base64.b64encode(bytes(32)).decode()},
+     "q must hold the saved fields: missing ['f4'], unknown ['f8']"),
 ], ids=["stored0-malformed array q1", "stored1-cannot reshape",
         "stored2-multiple of element size", "stored3-'shape'", "stored4-malformed array q1",
         "None-malformed checkpoint field: 'q1'", "stored6-malformed array q1: 'f4'"])
@@ -235,6 +237,27 @@ def test_malformed_array_rejected(tmp_path, stored, fragment):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("field,shape", [
+    ("q", [-1]),
+    ("q", [-3]),
+    ("adam.q.v", [-1]),
+    ("lte_set", [-1, 3]),
+    ("policy", [True]),
+    ("q", [4.0]),
+    ("q_target", 4),
+], ids=["q-neg1", "q-neg3", "adam.q.v-neg1", "lte_set-neg1", "policy-true", "q-float",
+        "q_target-int"])
+def test_bad_shape_entry_rejected(tmp_path, field, shape):
+    # reshape reads a negative entry as "infer this axis"; such a file must
+    # not load and then re-save with the true shape
+    path, doc = saved_doc(tmp_path)
+    lookup(doc, field)["shape"] = shape
+    open(path, "w").write(json.dumps(doc))
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{field} has shape {shape!r}, expected")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("step", [-5, 1.7, True, "4"])
@@ -286,7 +309,10 @@ def test_every_stored_field_is_required(tmp_path, kind):
     # adding a key to one of those, each fail the load
     path, doc = saved_doc(tmp_path, kind)
     assert "family" not in doc and "target_entropy" not in doc  # the model derives both
-    edits = [(field, None, []) for field in doc]
+    assert "seed" not in doc["config"]  # the stored stream states decide every draw
+    edits = [(field, None, ["unsupported checkpoint version None"] if field == "format_version"
+              else [f"checkpoint must hold the saved fields: missing ['{field}']"])
+             for field in doc]
     for section, where in {"constants": "constants", "config": "config",
                            "tasks.0": "tasks[0]"}.items():
         edits += [(f"{section}.{key}", None, [f"{where} must hold the",
@@ -401,15 +427,92 @@ def degenerate_encoder(stored):
     ("constants.jump_drag", -1.0, "constants.jump_drag must be >= 0, got -1.0"),
     ("constants.reset_vel_range", -1.0, "constants.reset_vel_range must be >= 0, got -1.0"),
     ("policy", degenerate_encoder, "stored task encoder is degenerate: near-zero row"),
+    # physics that makes a rollout non-finite: each of these used to load
+    ("constants.dt", 1e300, "constants.dt must be <= 1, got 1e+300"),
+    ("constants.drag", 1e300, "constants.drag must be <= 1000, got 1e+300"),
+    ("constants.dt", 1e6, "constants.dt must be <= 1, got 1000000.0"),
+    ("constants.drag", 1e6, "constants.drag must be <= 1000, got 1000000.0"),
+    ("constants.f_max", 1e300, "constants.f_max must be <= 1000, got 1e+300"),
+    ("constants.reset_vel_range", 1e300, "constants.reset_vel_range must be <= 1000"),
+    ("constants.dt", 1e30, "constants.dt must be <= 1, got 1e+30"),
+    ("constants.drag", 1e30, "constants.drag must be <= 1000, got 1e+30"),
+    ("constants.jump_thrust", 1e300, "constants.jump_thrust must be <= 1000, got 1e+300"),
+    # an Euler step that would reverse a velocity
+    ("constants.drag", 100.0, "constants.drag * dt must be <= 1, got 100.0 * 0.05"),
+    ("constants.jump_drag", 25.0, "constants.jump_drag * dt must be <= 1, got 25.0 * 0.05"),
 ], ids=["inc-neg", "state-2^128", "state-int", "inc-zero-pad", "inc-true", "inc-float",
         "has_uint32-1e300", "has_uint32-true", "has_uint32-2", "uinteger-neg", "uinteger-2^32",
         "uinteger-float", "log_alpha-true", "dt-neg", "f_max-neg", "gravity-0",
         "jump_thrust-0", "drag-neg", "jump_drag-neg", "reset_vel_range-neg",
-        "encoder-degenerate"])
+        "encoder-degenerate", "dt-1e300", "drag-1e300", "dt-1e6", "drag-1e6", "f_max-1e300",
+        "reset_vel_range-1e300", "dt-1e30", "drag-1e30", "jump_thrust-1e300", "drag-dt",
+        "jump_drag-dt"])
 def test_bad_stored_value_exits_1_with_one_line(tmp_path, capsys, field, value, fragment):
     # values that used to overflow with a traceback, load coerced, or load
     # into physics that makes no sense
     assert_eval_exits_1_with_one_line(tmp_path, capsys, field, value, fragment)
+
+
+# Every scalar leaf of a saved file, array keys included, is set to each of
+# these in turn.
+MUTANT_VALUES = [True, 1.7, -1, 0, -1.0, 0.0, "x", None, 1e300, -3]
+
+
+def scalar_leaves(doc, where=()):
+    """The key path of every value in doc that is neither an object nor a list."""
+    if not isinstance(doc, (dict, list)):
+        return [where]
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    return [leaf for key, value in items for leaf in scalar_leaves(value, where + (key,))]
+
+
+def same_json(a, b) -> bool:
+    """a and b are equal JSON values of the same types: true is not 1, 1 is not 1.0."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_json, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("kind,family,section", [
+    ("ear", "vel1d", ()), ("ohe", "vel1d", ()), ("mhmt", "vel1d", ()),
+    ("ear", "dir2d", ("constants",)), ("ear", "runjump", ("constants",)),
+], ids=["ear", "ohe", "mhmt", "dir2d-constants", "runjump-constants"])
+def test_every_mutant_fails_or_round_trips(tmp_path, kind, family, section):
+    # a mutant either fails with one CheckpointError line, or loads, re-saves
+    # as itself and evaluates to finite returns: no value is coerced, ignored
+    # or let into physics that overflows
+    if family == "vel1d":
+        model = small_model(kind)
+    else:  # only the physics is mutated, so an untrained model will do
+        cfg = TrainConfig(batch_size=8, hidden_width=8, lse_dim=4)
+        model = SacModel(kind, make_task_set(family, count=3), cfg)
+    path, resaved = str(tmp_path / "m.ckpt.json"), str(tmp_path / "r.ckpt.json")
+    save_checkpoint(model, path)
+    doc = json.loads(open(path).read())
+    loaded = 0
+    for leaf in scalar_leaves(lookup(doc, ".".join(section)) if section else doc, section):
+        for value in MUTANT_VALUES:
+            mutant = copy.deepcopy(doc)
+            target = mutant
+            for key in leaf[:-1]:
+                target = target[key]
+            target[leaf[-1]] = value
+            open(path, "w").write(json.dumps(mutant))
+            try:
+                model = load_checkpoint(path)
+            except CheckpointError as exc:
+                assert "\n" not in str(exc), (leaf, value)
+                continue
+            loaded += 1
+            save_checkpoint(model, resaved)
+            assert same_json(json.loads(open(resaved).read()), mutant), (leaf, value)
+            returns = [rep.mean_return for rep in eval_all_tasks(model, 1, eval_seed=0)]
+            assert np.all(np.isfinite(returns)), (leaf, value, returns)
+    assert loaded > 0
 
 
 def test_non_finite_refused_on_save(tmp_path):

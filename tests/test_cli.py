@@ -85,19 +85,22 @@ def test_config_file_not_json(tmp_path):
         load_config(str(p))
 
 
-def test_config_section_seed_must_repeat_top_level_seed():
-    for doc in ({"train": {"seed": 5}}, {"seed": 2, "cem": {"seed": 9}}):
-        with pytest.raises(ConfigurationError, match="differs from the top-level seed"):
-            parse_config(doc)
-    cfg = parse_config({"seed": 4, "train": {"seed": 4}, "cem": {"seed": 4}})
-    assert cfg.resolved().train.seed == 4 and cfg.resolved().cem.seed == 4
+def test_config_section_seed_is_an_unknown_key():
+    # the seed is set once, at the top level; no section holds a copy of it
+    for name in ("train", "cem"):
+        with pytest.raises(ConfigurationError, match=rf"unknown keys in {name}: \['seed'\]"):
+            parse_config({"seed": 4, name: {"seed": 4}})
 
 
 def test_config_seed_resolution(tmp_path):
-    cfg = load_config(write_config(tmp_path))
-    assert cfg.resolved().train.seed == 3
-    assert cfg.resolved(11).train.seed == 11
-    assert cfg.resolved(11).cem.seed == 11
+    # the config's seed is the run's seed unless --seed overrides it
+    cfg = write_config(tmp_path)
+    assert load_config(cfg).seed == 3 and parse_config({}).seed == 0
+    for flags, seed in (([], 3), (["--seed", "11"], 11)):
+        out = str(tmp_path / f"s{seed}")
+        assert main(["train", "--config", cfg, "--out", out, *flags]) == 0
+        assert load_config(os.path.join(out, "config.json")) == \
+            dataclasses.replace(load_config(cfg), seed=seed, out_dir=out)
 
 
 # --- train command ---
@@ -123,29 +126,26 @@ def test_train_deterministic_across_invocations(tmp_path):
            (tmp_path / "r2" / "curves.csv").read_bytes()
 
 
-def test_seed_env_var_and_flag_priority(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, out_dir=str(tmp_path / "rv"))
-    monkeypatch.setenv("LATENT_MOTOR_SEED", "5")
-    assert main(["train", "--config", cfg]) == 0
-    manifest = json.load(open(tmp_path / "rv" / "manifest.json"))
-    assert manifest["seed"] == 5
-    assert main(["train", "--config", cfg, "--seed", "9",
-                 "--out", str(tmp_path / "rv2")]) == 0
-    manifest = json.load(open(tmp_path / "rv2" / "manifest.json"))
-    assert manifest["seed"] == 9
+def test_seed_flag_beats_config(tmp_path):
+    # --seed 9 over a config with seed 3 trains what a config with seed 9 trains
+    models = {}
+    for name, seed, flags, run_seed in (("flag", 3, ["--seed", "9"], 9), ("config", 9, [], 9),
+                                        ("config3", 3, [], 3)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, name=f"{name}.json", seed=seed, out_dir=str(out))
+        assert main(["train", "--config", cfg, *flags]) == 0
+        assert json.load(open(out / "manifest.json"))["seed"] == run_seed
+        models[name] = (out / "model.ckpt.json").read_bytes()
+    assert models["flag"] == models["config"] != models["config3"]
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "config"])
-def test_bad_seed_exits_1_with_one_line(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_seed_exits_1_with_one_line(tmp_path, capsys, source):
     out = tmp_path / "run"
     argv = ["train", "--out", str(out)]
     if source == "flag":
         argv += ["--seed", "-1"]
         fragment = "the seed must be >= 0, got -1"
-    elif source == "env":
-        argv = ["grad-check"]
-        monkeypatch.setenv("LATENT_MOTOR_SEED", "x")
-        fragment = "LATENT_MOTOR_SEED must be an integer, got 'x'"
     else:
         argv += ["--config", write_config(tmp_path, seed=-1)]
         fragment = "config.seed must be >= 0, got -1"
@@ -281,10 +281,10 @@ def test_eval_json(trained, tmp_path):
 
 def test_written_config_loads_back_as_config(trained, tmp_path):
     cfg, ckpt, tmp = trained
-    written = str(tmp / "run" / "config.json")  # repeats the seed in every section
-    doc = json.load(open(written))
-    assert doc["seed"] == doc["train"]["seed"] == doc["cem"]["seed"] == 3
-    assert load_config(written).resolved().train.seed == 3
+    written = str(tmp / "run" / "config.json")
+    doc = json.load(open(written))  # holds the seed once
+    assert doc["seed"] == 3 and "seed" not in doc["train"] and "seed" not in doc["cem"]
+    assert load_config(written) == load_config(cfg)
     assert main(["eval", "--config", written, "--checkpoint", ckpt,
                  "--out", str(tmp_path / "e"), "--episodes", "1"]) == 0
 
@@ -318,7 +318,7 @@ def test_run_directory_holds_config_and_manifest(trained, trained_runjump, tmp_p
         assert not os.path.exists(out)
         return
     written = load_config(os.path.join(out, "config.json"))
-    assert written == dataclasses.replace(load_config(cfg).resolved(11), out_dir=out)
+    assert written == dataclasses.replace(load_config(cfg), seed=11, out_dir=out)
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert (manifest["command"], manifest["seed"]) == (command, 11)
     assert manifest["argv"] == argv
@@ -457,19 +457,21 @@ def as_version_1(doc):
 
 @pytest.mark.parametrize("damage,fragment", [
     (lambda doc: {**as_version_1(doc), "format_version": 1},
-     "unsupported checkpoint version 1; this build reads version 6"),
+     "unsupported checkpoint version 1; this build reads version 7"),
     (lambda doc: {**doc, "format_version": 2},
-     "unsupported checkpoint version 2; this build reads version 6"),
+     "unsupported checkpoint version 2; this build reads version 7"),
     (lambda doc: {**doc, "format_version": 3},
-     "unsupported checkpoint version 3; this build reads version 6"),
+     "unsupported checkpoint version 3; this build reads version 7"),
     (lambda doc: {**doc, "format_version": 4},
-     "unsupported checkpoint version 4; this build reads version 6"),
+     "unsupported checkpoint version 4; this build reads version 7"),
     (lambda doc: {**doc, "format_version": 5},
-     "unsupported checkpoint version 5; this build reads version 6"),
+     "unsupported checkpoint version 5; this build reads version 7"),
+    (lambda doc: {**doc, "format_version": 6},
+     "unsupported checkpoint version 6; this build reads version 7"),
     (lambda doc: [doc], "unsupported checkpoint version None"),
     (lambda doc: doc["q"].update(f4="%%corrupt%%"), "malformed array q:"),
     (lambda doc: doc["policy"].update(shape=[3, 3]), "malformed array policy: cannot reshape"),
-], ids=["v1", "v2", "v3", "v4", "v5", "not-object", "bad-base64", "bad-shape"])
+], ids=["v1", "v2", "v3", "v4", "v5", "v6", "not-object", "bad-base64", "bad-shape"])
 def test_bad_checkpoint_exits_1_with_one_line(trained, tmp_path, capsys, damage, fragment):
     cfg, ckpt, _ = trained
     doc = json.loads(open(ckpt).read())

@@ -32,7 +32,7 @@ from latent_motor.sac import (
 
 def tiny_config(**kw):
     base = dict(pretrain_epochs=1, train_epochs=1, optimization_times=2,
-                batch_size=16, seed=0, hidden_width=8, lse_dim=4, lte_dim=3)
+                batch_size=16, hidden_width=8, lse_dim=4, lte_dim=3)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -115,7 +115,7 @@ def test_target_nets_equal_live_at_init():
 
 
 def test_lse_dimension_is_sixteen_by_default():
-    cfg = TrainConfig(seed=0)
+    cfg = TrainConfig()
     m = SacModel("ear", make_task_set("vel1d", count=2), cfg)
     lse = m.policy.encode_obs(np.zeros((4, 1)))
     assert lse.shape == (4, 16)
@@ -233,7 +233,7 @@ def test_sac_update_at_batch_256_allocates_no_activation_temporaries():
     # allocated per update, each is mapped and faulted in page by page
     # (~630-690 minor faults per update without the network workspaces).
     import resource
-    m = SacModel("ear", make_task_set("vel1d"), TrainConfig(seed=0))
+    m = SacModel("ear", make_task_set("vel1d"), TrainConfig())
     batches = [random_batch(m, 256, seed=s) for s in range(13)]
     for batch in batches[:3]:  # workspaces are built on the first passes
         sac_update(m, batch)

@@ -78,9 +78,9 @@ def policy_eval(model, obs, task_ids, lte_noise, samp_noise):
 
 def test_full_update_matches_straight_line_oracle():
     cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, optimization_times=1,
-                      batch_size=2, seed=11, hidden_width=3, lse_dim=2, lte_dim=3)
+                      batch_size=2, hidden_width=3, lse_dim=2, lte_dim=3)
     tasks = make_task_set("vel1d", count=2)
-    model = SacModel("ear", tasks, cfg)
+    model = SacModel("ear", tasks, cfg, seed=11)
 
     rng = np.random.default_rng(5)
     s = np.tile(rng.normal(size=(1, 1)), (2, 1))
@@ -90,7 +90,7 @@ def test_full_update_matches_straight_line_oracle():
     batch = Batch(obs=s, action=a, reward=r, next_obs=s2, task_id=np.zeros(2, np.int64))
 
     # Replay the exact draws the update will consume.
-    streams = RngStreams(cfg.seed)
+    streams = RngStreams(11)
     streams.restore(model.rngs.state())
     noise_target = streams.get("policy").standard_normal((2, 1))
     lte_noise = streams.get("noise").standard_normal((2, 3)) * cfg.sigma_noise
