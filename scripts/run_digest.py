@@ -22,7 +22,9 @@ state and curves.csv lines must stay equal while the model.ckpt.json
 line may not.
 
 The analysis runs read the ear-vel1d checkpoint (compose reads
-ear-runjump, the one run/jump model) with that run's config. Each prints
+ear-runjump, the one run/jump model) with that run's config; sphere runs
+twice, at resolution 3 (18 rows) and at the benchmark's resolution 12
+(288 rows). Each prints
 one line per output file the command writes; config.json and
 manifest.json are left out, since they record the run rather than its
 results (and the manifest holds argv and versions).
@@ -66,6 +68,9 @@ ANALYSES = {
     "eval": (["eval", "--task-index", "1", "--episodes", "2"], "ear-vel1d", ["eval.json"]),
     "sphere": (["sphere", "--resolution", "3"], "ear-vel1d",
                ["sphere.csv", "sphere_edges.csv"]),
+    # the benchmark's sphere size: 288 rows, where batched sgemm rows no
+    # longer match small-batch rows bit for bit as they do at 18 rows
+    "sphere-r12": (["sphere", "--resolution", "12"], "ear-vel1d", ["sphere.csv"]),
     "interp": (["interp", "--task-i", "0", "--task-j", "2"], "ear-vel1d", ["sweep.csv"]),
     "search-beta": (["search-beta", "--task-i", "0", "--task-j", "2", "--target", "0.1985",
                      "--tol", "1e-5"], "ear-vel1d", ["search_beta.json"]),

@@ -125,6 +125,8 @@ def cmd_train(args, cfg: ExperimentConfig, model: None) -> None:
 
 def _adapt_task(model, args) -> TaskSpec:
     fam = model.family
+    if args.jump_weight is not None and fam != RUNJUMP:
+        raise ConfigurationError(f"--jump-weight needs a {RUNJUMP} checkpoint, this one is {fam}")
     ctrl = model.tasks[0].reward_ctrl_cost
     if fam == VEL1D:
         return TaskSpec(VEL1D, (args.target,), reward_ctrl_cost=ctrl)

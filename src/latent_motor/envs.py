@@ -136,7 +136,7 @@ def _physics_batch(family, pos, vel, action, consts: EnvConstants):
 
 
 def _reward_batch(family, new_pos, new_vel, action, targets, weights, jump_mask, ctrl):
-    cost = ctrl * np.sum(action ** 2, axis=1)
+    cost = ctrl * (action ** 2).sum(axis=1)
     if family == VEL1D:
         return -np.abs(new_vel[:, 0] - targets[:, 0]) - cost
     if family == DIR2D:
@@ -227,10 +227,10 @@ class VecRollout:
         """Advance every row one frame; actions outside [-1, 1] are clipped.
         Returns (observations, rewards)."""
         a = np.asarray(actions, dtype=np.float64)
-        if a.shape != (self.k, action_dim(self.family)):
+        if a.shape != self.vel.shape:  # (k, action_dim): one velocity axis per action
             raise ConfigurationError(
                 f"action shape {a.shape} does not match {self.k} {self.family} rows")
-        a = np.clip(a, -1.0, 1.0)
+        a = np.maximum(np.minimum(a, 1.0), -1.0)
         new_pos, new_vel = _physics_batch(self.family, self.pos, self.vel, a, self.consts)
         rewards = _reward_batch(self.family, new_pos, new_vel, a, self.targets,
                                 self.weights, self.jump_mask, self.ctrl)

@@ -41,6 +41,12 @@ from .nn import (
 )
 
 
+def _mean_action(head_raw: np.ndarray) -> np.ndarray:
+    """The deterministic action: tanh of the mean half of a head output,
+    which is what tanh(gaussian_head(head_raw).mean) computes."""
+    return np.tanh(head_raw[:, : head_raw.shape[1] // 2])
+
+
 @dataclass
 class EarCache:
     enc_cache: MlpCache
@@ -131,9 +137,7 @@ class EarPolicy:
         """Deterministic actions for one embedding row of cond per observation."""
         lse = self.encode_obs(obs)
         dec_in = np.concatenate([lse, cond], axis=1, dtype=lse.dtype)
-        head_raw, _ = mlp_forward(self.decoder, dec_in)
-        out = gaussian_head(head_raw)
-        return np.tanh(out.mean)
+        return _mean_action(mlp_forward(self.decoder, dec_in)[0])
 
 
 @dataclass
@@ -147,14 +151,14 @@ class OhePolicy:
     same depth as the composite shared-interface stack."""
 
     def __init__(self, obs_dim: int, action_dim: int, n_tasks: int, rng, width: int = 64):
-        self.n_tasks = n_tasks
+        self._eye = np.eye(n_tasks)
         self.layout = [[obs_dim + n_tasks, width, width, width, width, width, 2 * action_dim]]
         self.flat, (self.net,) = carve(self.layout)
         init_uniform(self.net.weights, rng)
         self._grad = Mlp(self.net.dims)
 
     def _input(self, obs, task_ids):
-        onehot = np.eye(self.n_tasks)[np.asarray(task_ids)]
+        onehot = self._eye[np.asarray(task_ids)]
         return np.concatenate([obs, onehot], axis=1, dtype=self.flat.dtype)
 
     def forward_train(self, obs, task_ids, lte_noise, sample_noise):
@@ -168,8 +172,7 @@ class OhePolicy:
         return mlp_backward(self.net, cache.net_cache, d_head, self._grad)[0].flat
 
     def action_eval(self, obs, cond):
-        head_raw, _ = mlp_forward(self.net, self._input(obs, cond))
-        return np.tanh(gaussian_head(head_raw).mean)
+        return _mean_action(mlp_forward(self.net, self._input(obs, cond))[0])
 
 
 @dataclass
@@ -217,9 +220,7 @@ class MhmtPolicy:
         return grad
 
     def action_eval(self, obs, cond):
-        h = self._head(obs, cond)
-        head_raw, _ = mlp_forward(self.trunk, h)
-        return np.tanh(gaussian_head(head_raw).mean)
+        return _mean_action(mlp_forward(self.trunk, self._head(obs, cond))[0])
 
 
 def build_policy(kind: str, obs_dim: int, action_dim: int, n_tasks: int, rng,

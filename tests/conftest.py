@@ -2,12 +2,13 @@
 
 Training runs dominate the suite's cost, so every trained model is
 built once per session and cached on disk (keyed by its full config,
-its seed, the training code's sources, the checkpoint format version, and the
-NumPy version and BLAS build) so
+its seed, the training code without comments and docstrings, the
+checkpoint format version, and the NumPy version and BLAS build) so
 repeated local runs skip retraining.
 Set LATENT_MOTOR_TEST_CACHE=off to force fresh training.
 """
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -41,9 +42,9 @@ DIR_COMPARE_EPOCHS = 40
 RUNJUMP_EPOCHS = 120
 SEEDS = (0, 1, 2)
 
-# Modules whose code decides a trained model's bytes; their sources are
-# part of the cache key, so a change to training code cannot be served
-# models trained by the old code.
+# Modules whose code decides a trained model's bytes; their code (code_of)
+# is part of the cache key, so a change to training code cannot be served
+# models trained by the old code, while a comment or docstring edit keeps it.
 TRAINING_MODULES = ("nn", "policies", "sac", "replay", "envs", "embedding", "rng")
 
 
@@ -54,12 +55,25 @@ def _numeric_environment() -> dict:
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
+def code_of(source: str) -> str:
+    """The syntax tree of a module's source with every docstring removed,
+    dumped as text: comments, docstrings and layout do not change it."""
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                node.body = node.body[1:] or [ast.Pass()]
+    return ast.dump(tree)
+
+
 def _training_sources_sha256() -> str:
     digest = hashlib.sha256()
     src = os.path.dirname(latent_motor.__file__)
     for name in TRAINING_MODULES:
-        with open(os.path.join(src, f"{name}.py"), "rb") as fh:
-            digest.update(fh.read())
+        with open(os.path.join(src, f"{name}.py"), encoding="utf-8") as fh:
+            digest.update(code_of(fh.read()).encode())
     return digest.hexdigest()
 
 

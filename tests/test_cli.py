@@ -408,6 +408,15 @@ def test_adapt_non_finite_jump_weight_exits_1(trained_runjump, tmp_path, capsys)
     assert not os.path.exists(os.path.join(out, "best_lte.json"))
 
 
+def test_adapt_jump_weight_on_a_non_runjump_model_exits_1(trained, tmp_path, capsys):
+    cfg, ckpt, _ = trained  # a vel1d checkpoint: --jump-weight must not fall back to --target
+    out = str(tmp_path / "a")
+    assert main(["adapt", "--config", cfg, "--checkpoint", ckpt, "--out", out,
+                 "--jump-weight", "2.0"]) == 1
+    assert_one_error_line(capsys, "--jump-weight needs a runjump checkpoint, this one is vel1d")
+    assert not os.path.exists(os.path.join(out, "best_lte.json"))
+
+
 def test_eval_lte_on_baseline_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=str(tmp_path / "ohe"))
     assert main(["train-baseline", "--kind", "ohe", "--config", cfg]) == 0

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latent_motor import nn
+from latent_motor.checkpoint import load_checkpoint, save_checkpoint
+from latent_motor.envs import make_task_set
 from latent_motor.errors import ConfigurationError, InternalError, NonFiniteGradient
 from latent_motor.nn import (
     GaussianPolicyOutput,
@@ -21,6 +24,7 @@ from latent_motor.nn import (
     sample_squashed,
     soft_update,
 )
+from latent_motor.sac import SacModel, TrainConfig
 
 
 def test_forward_identity_single_layer():
@@ -176,6 +180,92 @@ def test_stacked_pass_bit_identical_to_one_pass_per_network(dims, rows):
         for a, b in zip(grad.weights + grad.biases, grad_k.weights + grad_k.biases):
             assert a[k].tobytes() == b.tobytes()
         assert dx[k].tobytes() == dx_only[k].tobytes() == dx_k.tobytes()
+
+
+def matmul_pass(mlp, x, g):
+    """Output, parameter gradient and input gradient with np.matmul for
+    every product, stack included: the expressions the width-1 products
+    replaced."""
+    h = np.asarray(x, mlp.flat.dtype)
+    h = h[None] if h.ndim == 1 else h
+    dz = np.asarray(g, mlp.flat.dtype)
+    dz = dz[..., None, :] if np.ndim(x) == 1 else dz
+    inputs, post, last = [], [], len(mlp.weights) - 1
+    for k, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        inputs.append(h)
+        z = np.matmul(h, np.swapaxes(w, -1, -2)) + b[..., None, :]
+        h = z if k == last else np.tanh(z)
+        post.append(h)
+    grad = Mlp(mlp.dims, lead=mlp.lead)
+    for k in range(last, -1, -1):
+        grad.weights[k][...] = np.matmul(np.swapaxes(dz, -1, -2), inputs[k])
+        grad.biases[k][...] = np.sum(dz, axis=-2)
+        dh = np.matmul(dz, mlp.weights[k])
+        if k:
+            dz = dh * (1.0 - post[k - 1] ** 2)
+    one = np.ndim(x) == 1
+    return (h[..., 0, :] if one else h), grad, (dh[..., 0, :] if one else dh)
+
+
+@pytest.mark.parametrize("rows", [None, 2, 45, 256])
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [[1, 64, 16], [7, 64, 64, 64, 1], [1, 6, 1, 5, 2], [1, 1],
+                                  [3, 1]])
+def test_width_1_products_bit_identical_to_matmul(monkeypatch, dims, dtype, lead, rows):
+    # the vel1d encoder (fan-in 1), a critic (width-1 output), a width-1
+    # hidden layer and one-layer nets; a one-term product may differ from
+    # np.matmul's only in the sign of an exact zero, which + 0.0 erases
+    monkeypatch.setattr(nn, "DTYPE", dtype)
+    rng = np.random.default_rng(len(dims) + 10 * len(lead) + (rows or 1))
+    mlp = Mlp(dims, lead=lead)
+    mlp.flat[...] = rng.normal(scale=0.5, size=mlp.flat.size)
+    shape = (dims[0],) if rows is None else (rows, dims[0])
+    x = rng.normal(size=shape)
+    x.reshape(-1)[:4] = [0.0, -0.0, 0.0, -0.0][:x.size]
+    g = rng.normal(size=lead + shape[:-1] + (dims[-1],))
+    g.reshape(-1)[::3] = 0.0
+    g.reshape(-1)[1::3] = -0.0  # as the actor step's critic output gradient holds
+    out, cache = mlp_forward(mlp, x)
+    grad, dx = mlp_backward(mlp, cache, g, Mlp(dims, lead=lead))
+    ref_out, ref_grad, ref_dx = matmul_pass(mlp, x, g)
+    for a, b in ((out, ref_out), (grad.flat, ref_grad.flat), (dx, ref_dx)):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+    assert mlp_backward(mlp, cache, g)[1].tobytes() == dx.tobytes()
+
+
+def test_transposed_weight_views_follow_the_parameters(tmp_path):
+    # weights_t is built once: it must stay a view of flat through every
+    # in-place update (Adam, Polyak, a checkpoint load)
+    rng = np.random.default_rng(9)
+
+    def views_hold(mlp):
+        return all(np.shares_memory(w_t, mlp.flat) and np.shares_memory(w_t, w)
+                   and np.array_equal(w_t, np.swapaxes(w, -1, -2))
+                   for w, w_t in zip(mlp.weights, mlp.weights_t))
+
+    live, target = Mlp([1, 4, 1], lead=(2,)), Mlp([1, 4, 1], lead=(2,))
+    live.flat[...] = rng.normal(size=live.flat.size)
+    assert views_hold(live) and len(live.weights_t) == 2
+    state = adam_init(live.flat, lr=0.1)
+    adam_step(live.flat, rng.normal(size=live.flat.size).astype(live.flat.dtype), state)
+    soft_update(target, live, 0.5)
+    assert views_hold(live) and views_hold(target)
+    assert np.array_equal(target.weights_t[0], 0.5 * np.swapaxes(live.weights[0], -1, -2))
+
+    model = SacModel("ear", make_task_set("vel1d", count=2), TrainConfig(), seed=1)
+    for buf in (model.policy.flat, model.q.flat, model.q_target.flat):
+        buf += rng.normal(size=buf.size).astype(buf.dtype)
+    path = str(tmp_path / "m.ckpt.json")
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    pairs = [(model.q, loaded.q), (model.q_target, loaded.q_target),
+             (model.policy.encoder, loaded.policy.encoder),
+             (model.policy.decoder, loaded.policy.decoder)]
+    for saved, mlp in pairs:
+        assert views_hold(mlp)
+        assert all(np.array_equal(a, b) for a, b in zip(saved.weights_t, mlp.weights_t))
 
 
 def test_input_gradient_only_matches_full_backward():

@@ -11,10 +11,12 @@ either dtype.
 import numpy as np
 import pytest
 
-from latent_motor import nn
+from latent_motor import nn, policies
+from latent_motor.envs import make_task_set
 from latent_motor.nn import carve
 from latent_motor.policies import EarPolicy, MhmtPolicy, build_policy
 from latent_motor.errors import ConfigurationError
+from latent_motor.sac import SacModel, TrainConfig
 
 
 def probe_loss(policy, obs, ids, lte_noise, samp, ca, cl):
@@ -89,3 +91,27 @@ def test_mhmt_rows_only_touch_their_head():
     assert np.any(gw[0] != 0.0)
     assert np.all(gw[1] == 0.0)
     assert np.any(gw[2] != 0.0)
+
+
+@pytest.mark.parametrize("family", ["vel1d", "runjump"])
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_action_eval_is_tanh_of_the_head_mean(monkeypatch, kind, family):
+    # evaluation reads the mean half of the head output without building
+    # the clamped log-std; its actions are those of the full head, bit for bit
+    m = SacModel(kind, make_task_set(family), TrainConfig(), seed=2)
+    rng = np.random.default_rng(5)
+    m.policy.flat += rng.normal(scale=0.5, size=m.policy.flat.size).astype(m.policy.flat.dtype)
+    outputs = []
+
+    def recording_forward(mlp, x):
+        out = nn.mlp_forward(mlp, x)
+        outputs.append(out[0])
+        return out
+
+    monkeypatch.setattr(policies, "mlp_forward", recording_forward)
+    for rows in (1, 7):
+        obs = rng.normal(size=(rows, m.obs_dim))
+        action = m.policy.action_eval(obs, m.conditioning(np.arange(rows) % m.n_tasks))
+        expected = np.tanh(nn.gaussian_head(outputs[-1]).mean)
+        assert action.dtype == expected.dtype == np.float32
+        assert action.shape == (rows, m.action_dim) and action.tobytes() == expected.tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from latent_motor import sac
+from latent_motor import nn, sac
 from latent_motor.envs import VecRollout, make_task_set
 from latent_motor.errors import ConfigurationError
 from latent_motor.nn import Mlp, mlp_forward
@@ -242,6 +242,37 @@ def test_sac_update_at_batch_256_allocates_no_activation_temporaries():
         assert not sac_update(m, batch).skipped
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults / 10 < 50
+
+
+class RecordingNumpy:
+    """numpy as nn sees it, recording the operand shapes of every np.matmul."""
+
+    def __init__(self):
+        self.products = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kw):
+        self.products.append((np.shape(a), np.shape(b)))
+        return np.matmul(a, b, **kw)
+
+
+@pytest.mark.parametrize("family", ["vel1d", "dir2d"])
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_no_matrix_product_contracts_an_axis_of_length_1(monkeypatch, kind, family):
+    # np.matmul runs such a product (e.g. the vel1d encoder's 1-wide input
+    # layer, the critics' 1-wide output layer in backward) 4-5x slower
+    # than the broadcast product nn uses instead
+    m = SacModel(kind, make_task_set(family, count=3), TrainConfig())
+    recording = RecordingNumpy()
+    monkeypatch.setattr(nn, "np", recording)
+    assert not sac_update(m, random_batch(m, 256)).skipped
+    for rows in (1, 45):
+        ids = np.arange(rows) % m.n_tasks
+        m.policy.action_eval(np.ones((rows, m.obs_dim)), m.conditioning(ids))
+    assert len(recording.products) > 20
+    assert [(a, b) for a, b in recording.products if a[-1] == 1] == []
 
 
 @pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
