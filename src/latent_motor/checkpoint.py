@@ -36,6 +36,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -51,13 +52,17 @@ _FIELDS = {"format_version", "kind", "tasks", "constants", "config", "policy", "
            "log_alpha", "adam", "rng"}
 
 
+class _Text(bytes):
+    """The base64 text of an array, which dump_bytes inserts unescaped."""
+
+
 def _encode(a: np.ndarray) -> dict:
     # no ascontiguousarray: it would turn the 0-d temperature moments 1-d
     key = _KEYS[a.dtype]
     a = np.asarray(a, dtype="<" + key)
     if not np.all(np.isfinite(a)):
         raise CheckpointError(f"refusing to serialize non-finite array of shape {list(a.shape)}")
-    return {"shape": list(a.shape), key: base64.b64encode(a.tobytes()).decode("ascii")}
+    return {"shape": list(a.shape), key: _Text(base64.b64encode(a.tobytes()))}
 
 
 def _decode(payload, dst: np.ndarray, name: str) -> None:
@@ -129,19 +134,39 @@ def checkpoint_payload(model: SacModel) -> dict:
 
 
 def dump_bytes(payload: dict) -> bytes:
+    """The canonical JSON of payload: json.dumps writes "\\0" for each array's
+    base64 text, which needs no JSON escape and goes into the bytes as it is."""
+    texts = []
+
+    def slot(obj):
+        if type(obj) is not _Text:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        texts.append(obj)
+        return "\0"
     try:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          allow_nan=False)
+                          allow_nan=False, default=slot)
     except ValueError as exc:
         raise CheckpointError(f"refusing to serialize non-finite value: {exc}") from exc
-    return (text + "\n").encode("utf-8")
+    parts = (text + "\n").encode("utf-8").split(b'"\\u0000"')
+    if len(parts) != len(texts) + 1:  # a stored string encodes like a slot
+        raise CheckpointError("refusing to serialize a string that encodes like an array slot")
+    # parts[0] "texts[0]" parts[1] "texts[1]" ... parts[-1]
+    return b'"'.join([piece for pair in zip(parts, texts) for piece in pair] + parts[-1:])
 
 
 def save_checkpoint(model: SacModel, path: str) -> str:
-    """Write the model; returns the sha256 of the file contents."""
+    """Write the model, atomically (a temp file replaces path); returns its sha256."""
     data = dump_bytes(checkpoint_payload(model))
-    with open(path, "wb") as fh:
-        fh.write(data)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return hashlib.sha256(data).hexdigest()
 
 

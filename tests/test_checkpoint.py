@@ -2,13 +2,17 @@
 
 import base64
 import copy
+import errno
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import latent_motor.checkpoint
 from latent_motor.checkpoint import (
     checkpoint_payload,
     dump_bytes,
@@ -548,3 +552,83 @@ def test_file_sha256_changes_with_content(tmp_path):
     save_checkpoint(model, p1)
     save_checkpoint(other, p2)
     assert file_sha256(p1) != file_sha256(p2)
+
+
+def canonical_json(payload) -> bytes:
+    """The reference encoding: each array's base64 text as a str, then the
+    canonical json.dumps and the trailing newline."""
+    def as_str(obj):
+        if isinstance(obj, bytes):
+            return obj.decode("ascii")
+        if isinstance(obj, dict):
+            return {k: as_str(v) for k, v in obj.items()}
+        return [as_str(v) for v in obj] if isinstance(obj, list) else obj
+    text = json.dumps(as_str(payload), sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("family", ["vel1d", "dir2d", "runjump"])
+@pytest.mark.parametrize("kind", ["ear", "ohe", "mhmt"])
+def test_dump_bytes_is_the_canonical_json(kind, family):
+    cfg = TrainConfig(pretrain_epochs=0, train_epochs=1, hidden_width=8, lse_dim=4)
+    model = SacModel(kind, make_task_set(family), cfg, seed=1)
+    payload = checkpoint_payload(model)
+    assert dump_bytes(payload) == canonical_json(payload)
+
+
+# Strings that hold what JSON escapes, and the array slot's own text.
+TRICKY = ["\0", "a\"\0", "\0\"", "\\u0000", '"\\u0000"', "\\", '"', "\n\t\x1f", "é ☃ 𝄞"]
+strings = st.sampled_from(TRICKY) | st.text()
+PAYLOAD = checkpoint_payload(small_model())
+ARRAYS = [PAYLOAD[name] for name in ("policy", "q", "q_target", "lte_set")] + [
+    PAYLOAD["adam"][name][moment] for name in ("policy", "q", "alpha") for moment in "mv"]
+json_values = st.recursive(
+    st.sampled_from(ARRAYS) | strings | st.integers() | st.floats(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(strings, inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(strings, json_values, min_size=1, max_size=4))
+def test_dump_bytes_writes_the_canonical_json_or_refuses(payload):
+    try:
+        reference = canonical_json(payload)
+    except ValueError:  # a NaN or an infinity
+        with pytest.raises(CheckpointError, match="non-finite"):
+            dump_bytes(payload)
+        return
+    try:
+        assert dump_bytes(payload) == reference
+    except CheckpointError:
+        # refused only where a stored string encodes like an array slot
+        assert b'"\\u0000"' in reference
+
+
+@pytest.mark.parametrize("interrupt", [OSError(errno.ENOSPC, "No space left on device"),
+                                       KeyboardInterrupt()])
+@pytest.mark.parametrize("existing", [True, False])
+def test_interrupted_save_leaves_no_partial_file(tmp_path, monkeypatch, existing, interrupt):
+    path = tmp_path / "m.ckpt.json"
+    if existing:
+        save_checkpoint(small_model(seed=0), str(path))
+    before = sorted(os.listdir(tmp_path)), path.read_bytes() if existing else None
+
+    class HalfWritten:
+        """A file whose write stores half of its data and then fails."""
+        def __init__(self, name, mode):
+            self.fh = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise interrupt
+
+    monkeypatch.setattr(latent_motor.checkpoint, "open", HalfWritten, raising=False)
+    with pytest.raises(type(interrupt)):
+        save_checkpoint(small_model(seed=1), str(path))
+    assert (sorted(os.listdir(tmp_path)), path.read_bytes() if existing else None) == before
